@@ -59,6 +59,7 @@ from .curvecount import (
 )
 from .errors import (
     CongruenceViolated,
+    ExactModulusTooLarge,
     HypercountError,
     LogOfZero,
     MixedFieldContexts,
@@ -104,6 +105,7 @@ __all__ = [
     "DEFAULT_TABLE_BUDGET",
     "DEFAULT_TOLERANCE",
     "DecompositionReport",
+    "ExactModulusTooLarge",
     "FAMILY_A_EVEN",
     "FAMILY_A_ODD",
     "FAMILY_B_EVEN",

@@ -41,6 +41,7 @@ from .curvecount import (
     BRUTE_FORCE,
     CountResult,
     CurveParams,
+    check_coeffs,
     count_points,
     required_congruence,
 )
@@ -152,7 +153,9 @@ def cmd_count(q: int, family: str, d: int, a: int, b: int,
               brute: bool = False) -> int:
     """Count one curve; exit 0 on success/agreement, 2 on mismatch."""
     ctx = _field_for(q, config)
-    curve = CurveParams(family, d, a % ctx.q, b % ctx.q)
+    curve = CurveParams(family, d, a, b)
+    # Codes are not reduced mod q: on F_{p^e} the code q-1 is not -1.
+    check_coeffs(ctx, a, b)
     ring = _ring_for(ctx, config)
     start = time.perf_counter()
     if brute:

@@ -91,7 +91,8 @@ class CountResult:
             object.__setattr__(self, "argument", int(self.argument))
 
 
-def _check_coeffs(ctx: FieldCtx, a: int, b: int) -> None:
+def check_coeffs(ctx: FieldCtx, a: int, b: int) -> None:
+    """Refuse a or b unless it is a field-element code in [1, q)."""
     for name, val in (("a", a), ("b", b)):
         if not 0 <= val < ctx.q:
             raise ValueError(f"{name}={val} is not a field-element code in "
@@ -115,7 +116,7 @@ def _small_int(ctx: FieldCtx, n: int) -> int:
 
 def alpha_param(ctx: FieldCtx, d: int, a: int, b: int) -> int:
     """Series argument for family A: (d/a) * (b*d / (a*(d-1)))^(d-1)."""
-    _check_coeffs(ctx, a, b)
+    check_coeffs(ctx, a, b)
     dd = _small_int(ctx, d)
     dm1 = _small_int(ctx, d - 1)
     inner = ctx.mul(ctx.mul(b, dd), ctx.inv(ctx.mul(a, dm1)))
@@ -124,7 +125,7 @@ def alpha_param(ctx: FieldCtx, d: int, a: int, b: int) -> int:
 
 def beta_param(ctx: FieldCtx, d: int, a: int, b: int) -> int:
     """Series argument for family B: b * d^d / (a^d * (d-1)^(d-1))."""
-    _check_coeffs(ctx, a, b)
+    check_coeffs(ctx, a, b)
     dd = _small_int(ctx, d)
     dm1 = _small_int(ctx, d - 1)
     num = ctx.mul(b, ctx.pow_elem(dd, d))
@@ -201,7 +202,7 @@ def count_family_a_even(ctx: FieldCtx, d: int, a: int, b: int, *,
     if d < 2 or d % 2:
         raise ValueError(f"even-degree count requires even d >= 2, got {d}")
     _check_congruence(ctx, 2 * d * (d - 1))
-    _check_coeffs(ctx, a, b)
+    check_coeffs(ctx, a, b)
     ring = get_ring(ctx, "exact") if ring is None else ring
     arg = alpha_param(ctx, d, a, b)
     tops, bottoms = even_family_characters(ctx, d)
@@ -223,7 +224,7 @@ def count_family_a_odd(ctx: FieldCtx, d: int, a: int, b: int, *,
     if d < 3 or d % 2 == 0:
         raise ValueError(f"odd-degree count requires odd d >= 3, got {d}")
     _check_congruence(ctx, 2 * d * (d - 1))
-    _check_coeffs(ctx, a, b)
+    check_coeffs(ctx, a, b)
     ring = get_ring(ctx, "exact") if ring is None else ring
     alpha = alpha_param(ctx, d, a, b)
     arg = ctx.neg(alpha)
@@ -252,7 +253,7 @@ def count_family_b_even(ctx: FieldCtx, d: int, a: int, b: int, *,
     if d < 2 or d % 2:
         raise ValueError(f"even-degree count requires even d >= 2, got {d}")
     _check_congruence(ctx, 2 * d * (d - 1))
-    _check_coeffs(ctx, a, b)
+    check_coeffs(ctx, a, b)
     ring = get_ring(ctx, "exact") if ring is None else ring
     arg = beta_param(ctx, d, a, b)
     tops, bottoms = even_family_characters(ctx, d)
@@ -273,7 +274,7 @@ def count_family_b_odd(ctx: FieldCtx, d: int, a: int, b: int, *,
     if d < 3 or d % 2 == 0:
         raise ValueError(f"odd-degree count requires odd d >= 3, got {d}")
     _check_congruence(ctx, d * (d - 1))
-    _check_coeffs(ctx, a, b)
+    check_coeffs(ctx, a, b)
     ring = get_ring(ctx, "exact") if ring is None else ring
     arg = ctx.neg(beta_param(ctx, d, a, b))
     tops, bottoms = family_b_odd_characters(ctx, d)
@@ -315,7 +316,7 @@ def trace_frobenius_linear(ctx: FieldCtx, a: int, b: int, *, ring=None) -> int:
     bound whenever the cubic is nonsingular.
     """
     _check_congruence(ctx, 12)
-    _check_coeffs(ctx, a, b)
+    check_coeffs(ctx, a, b)
     ring = get_ring(ctx, "exact") if ring is None else ring
     a3 = ctx.pow_elem(a, 3)
     arg = ctx.neg(ctx.mul(ctx.mul(_small_int(ctx, 27), ctx.mul(b, b)),
@@ -338,7 +339,7 @@ def trace_frobenius_quadratic(ctx: FieldCtx, a: int, b: int, *,
     lifted to an integer; equals q minus the affine point count.
     """
     _check_congruence(ctx, 6)
-    _check_coeffs(ctx, a, b)
+    check_coeffs(ctx, a, b)
     ring = get_ring(ctx, "exact") if ring is None else ring
     arg = ctx.neg(ctx.mul(ctx.mul(_small_int(ctx, 27), b),
                           ctx.inv(ctx.mul(_small_int(ctx, 4),

@@ -78,6 +78,19 @@ class CongruenceViolated(HypercountError):
         super().__init__(f"q={q} does not satisfy q = 1 (mod {modulus})")
 
 
+class ExactModulusTooLarge(HypercountError):
+    """The exact ring's auxiliary prime would leave uint64 arithmetic."""
+
+    def __init__(self, q: int, ell: int, limit: int):
+        self.q = q
+        self.ell = ell
+        self.limit = limit
+        super().__init__(
+            f"the exact backend at q={q} needs an auxiliary prime "
+            f"ell={ell} >= 2**{limit.bit_length() - 1}; use the float "
+            f"backend (--backend float)")
+
+
 class NonIntegerResult(HypercountError):
     """A value that must lift to a rational integer failed to do so.
 

@@ -11,10 +11,12 @@ interchangeable backends realize this ring:
 
 * :class:`ResidueRing` — residues modulo an auxiliary prime ``ell`` with
   ``ell = 1 (mod p*(q-1))``, chosen as the least such prime exceeding
-  ``4 * q**(ceil(d_max/2) + 1)``.  The images of the two roots of unity
-  are fixed powers of an element ``w`` of order ``p*(q-1)`` derived from
-  the least primitive root of ``ell``, so runs are reproducible.  Every
-  rational-integer result is recovered exactly from its balanced residue.
+  ``max(2**40, 8 * q**2)``: large enough to lift every integer the
+  package recovers, small enough that vector products stay in uint64.
+  The images of the two roots of unity are fixed powers of an element
+  ``w`` of order ``p*(q-1)`` derived from the least primitive root of
+  ``ell``, so runs are reproducible.  Every rational-integer result is
+  recovered exactly from its balanced residue.
 
 Scalar values are wrapped in :class:`CharValue`; bulk kernels work on raw
 numpy arrays through the ring's vector helpers (``mul_vec``, ``sum_vec``,
@@ -29,17 +31,19 @@ import weakref
 import numpy as np
 import sympy
 
-from .errors import MixedFieldContexts, NonIntegerResult
+from .errors import ExactModulusTooLarge, MixedFieldContexts, NonIntegerResult
 from .ffield import FieldCtx
-
-#: Largest curve degree the default exact modulus must accommodate.
-DEFAULT_D_MAX = 5
 
 #: Default absolute tolerance for integer-valued float results.
 DEFAULT_TOLERANCE = 1e-6
 
+#: Least modulus of the default exact ring: an accidental agreement of two
+#: distinct values mod ell then has chance about 2**-40.
+_ELL_FLOOR = 2**40
+
 #: Above this modulus the float-assisted vector mulmod loses its safety
-#: margin, so the exact backend falls back to object-dtype arithmetic.
+#: margin.  The default exact ring refuses to go there; a ring sized by an
+#: explicit ``d_max`` falls back to object-dtype arithmetic instead.
 _FLOAT_MULMOD_LIMIT = 2**50
 
 
@@ -225,22 +229,51 @@ class ComplexRing:
 
 
 class ResidueRing:
-    """Exact backend: values are residues modulo an auxiliary prime ell."""
+    """Exact backend: values are residues modulo an auxiliary prime ell.
+
+    ell is the least prime exceeding a bound with ell = 1 (mod p*(q-1)), so
+    Z/ell holds the roots of unity of Z[zeta_{p(q-1)}].  The ring map sends
+    a rational integer n to n mod ell, and the balanced residue in
+    (-ell/2, ell/2] gives n back whenever |n| < ell/2.  The integers the
+    package lifts are
+
+    * point counts N, with 0 <= N <= 2q (also the N that
+      ``decompose_theta_sum`` reconstructs from q·N);
+    * Frobenius traces of the d = 3 curves, with |a_q| <= 2·sqrt(q);
+    * the decomposition terms ``yz_sum`` and ``quad_component``, with
+      absolute value at most q² + q.
+
+    So ell > 2(q² + q) suffices, and the default bound ``max(2**40, 8q²)``
+    clears it with room to spare.  The 2**40 floor keeps an accidental
+    agreement mod ell negligible when the exact verifiers compare residues.
+    Within the default table budget ell stays far below 2**50 (45 bits at
+    q = 1048573), so vector products take the uint64 path; a field large
+    enough to push ell to ``_FLOAT_MULMOD_LIMIT`` raises
+    :class:`ExactModulusTooLarge` instead of falling back.
+
+    An explicit ``d_max`` instead sizes ell above 4·q^(ceil(d_max/2) + 1)
+    and falls back to object-dtype arithmetic once ell reaches 2**50.
+    """
 
     backend = "exact"
 
-    def __init__(self, ctx: FieldCtx, d_max: int = DEFAULT_D_MAX):
-        if d_max < 2:
+    def __init__(self, ctx: FieldCtx, d_max: int | None = None):
+        if d_max is not None and d_max < 2:
             raise ValueError("d_max must be >= 2")
         self.ctx = ctx
         self.d_max = d_max
         p, q = ctx.p, ctx.q
         n = p * (q - 1)
-        bound = 4 * q ** (math.ceil(d_max / 2) + 1)
+        if d_max is None:
+            bound = max(_ELL_FLOOR, 8 * q * q)
+        else:
+            bound = 4 * q ** (math.ceil(d_max / 2) + 1)
         k = bound // n + 1
         while not sympy.isprime(k * n + 1):
             k += 1
         self.ell = k * n + 1
+        if d_max is None and self.ell >= _FLOAT_MULMOD_LIMIT:
+            raise ExactModulusTooLarge(q, self.ell, _FLOAT_MULMOD_LIMIT)
         if self.ell >= 2**63:
             raise ValueError(
                 f"auxiliary modulus {self.ell} is too large for the exact "
@@ -403,8 +436,12 @@ _RING_CACHE: "weakref.WeakKeyDictionary[FieldCtx, dict]" = weakref.WeakKeyDictio
 
 def get_ring(ctx: FieldCtx, backend: str = "float", *,
              tolerance: float = DEFAULT_TOLERANCE,
-             d_max: int = DEFAULT_D_MAX):
-    """Return the cached value ring of the requested backend for a field."""
+             d_max: int | None = None):
+    """Return the cached value ring of the requested backend for a field.
+
+    ``d_max`` applies to the exact backend only; leave it unset for the
+    default modulus (see :class:`ResidueRing`).
+    """
     per_ctx = _RING_CACHE.setdefault(ctx, {})
     if backend == "float":
         key = ("float", tolerance)

@@ -71,6 +71,16 @@ def test_count_brute_skips_congruence(capsys):
     assert "method=brute_force" in out
 
 
+@pytest.mark.parametrize("a", ["-1", "25"])
+@pytest.mark.parametrize("mode", [(), ("--brute",)])
+def test_count_rejects_codes_outside_the_field(capsys, a, mode):
+    # On F_25 the code 24 is not -1, so -1 must not be reduced to it.
+    code, _, err = run(capsys, "count", "--q", "25", "--family", "A",
+                       "--d", "4", "--a", a, "--b", "1", *mode)
+    assert code == 1
+    assert f"a={a} is not a field-element code" in err
+
+
 def test_count_json_validates(capsys):
     code, out, _ = run(capsys, "count", "--q", "73", "--family", "B",
                        "--d", "4", "--a", "2", "--b", "3", "--check",
@@ -158,8 +168,17 @@ def test_verify_reports_exact_modulus_in_header(capsys):
     assert code == 0
     header = out.splitlines()[0]
     assert header.startswith("backend=exact")
-    assert "ell[q=9]=26449" in header
+    assert "ell[q=9]=1099511627953" in header
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_verify_passes_at_257(capsys, backend):
+    # The first q at which a float product of q-1 Gauss sums overflows.
+    code, out, _ = run(capsys, "verify", "--q", "257", "--backend", backend)
+    assert code == 0
+    assert "FAIL" not in out
+    assert out.splitlines()[-1] == "failures=0"
 
 
 def test_verify_float_backend_passes(capsys):

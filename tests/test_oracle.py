@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from hypercount import (
+    ComplexRing,
     CongruenceViolated,
     CurveParams,
     IdentityReport,
@@ -24,6 +25,7 @@ from hypercount import (
     verify_davenport_hasse,
     verify_lemmas,
 )
+from hypercount.oracle import _compare
 
 
 def all_pairs_count(ctx, curve):
@@ -129,6 +131,39 @@ def test_davenport_hasse_all_divisors_all_psi(p, e, backend):
         for psi in range(Q):
             reports = verify_davenport_hasse(ctx, m, psi, ring)
             assert all(r.passed for r in reports), (m, psi)
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_davenport_hasse_every_divisor_at_601(backend):
+    # Up to 600 Gauss factors per product: 601^300 overflows a double
+    # unless the float factors are scaled to unit modulus.
+    ctx = build_field(601)
+    ring = get_ring(ctx, backend)
+    for m in (m for m in range(1, 601) if 600 % m == 0):
+        bulk = davenport_hasse_products(ctx, m, ring)
+        assert bulk.passed and bulk.cases == 600, m
+        reports = verify_davenport_hasse(ctx, m, 1, ring)
+        assert [r.cases for r in reports] == [1, 1200 if m > 1 else 0], m
+        assert all(r.passed for r in reports), m
+
+
+def test_compare_counts_non_finite_residuals_as_mismatches(f13):
+    ring = get_ring(f13, "float")
+    lhs = np.ones(4, dtype=np.complex128)
+    rhs = lhs.copy()
+    rhs[1] = np.nan
+    rhs[3] = np.inf
+    mismatches, _, first = _compare(ring, lhs, rhs, lambda i: i)
+    assert (mismatches, first) == (2, (1, 3))
+
+
+def test_nan_gauss_sum_fails_the_product_check(f13):
+    ring = ComplexRing(f13)
+    table = ring.gauss_array.copy()
+    table[5] = np.nan
+    ring._gauss = table
+    rep = davenport_hasse_products(f13, 2, ring)
+    assert not rep.passed and rep.mismatch_count > 0
 
 
 def test_davenport_hasse_degenerate_and_errors(f13):

@@ -5,14 +5,21 @@ root-of-unity tables — no FFT, no blocking — so the two computation
 routes are independent.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import sympy
 
 from hypercount import (
+    CurveParams,
+    ExactModulusTooLarge,
     MixedFieldContexts,
     NonIntegerResult,
+    ResidueRing,
+    brute_count,
     build_field,
+    count_points,
     get_ring,
 )
 from hypercount.values import _FLOAT_MULMOD_LIMIT
@@ -32,8 +39,9 @@ def naive_gauss(ctx, ring, m):
 # Exact-modulus construction
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("q,e,ell", [(13, 1, 114661), (9, 2, 26449),
-                                     (25, 2, 1563481)])
+@pytest.mark.parametrize("q,e,ell", [(13, 1, 1099511627917),
+                                     (9, 2, 1099511627953),
+                                     (25, 2, 1099511629081)])
 def test_exact_modulus_is_pinned_and_valid(q, e, ell):
     p = sympy.primefactors(q)[0]
     ctx = build_field(p, e)
@@ -42,13 +50,43 @@ def test_exact_modulus_is_pinned_and_valid(q, e, ell):
     assert sympy.isprime(ring.ell)
     n = ctx.p * (ctx.q - 1)
     assert ring.ell % n == 1
-    assert ring.ell > 4 * ctx.q**4  # default d_max = 5 needs q^(ceil(5/2)+1)
-    # Least qualifying prime: nothing smaller works.
-    k = (4 * ctx.q**4) // n + 1
-    first = k * n + 1
+    bound = max(2**40, 8 * ctx.q**2)
+    assert ring.ell > bound > 2 * (ctx.q**2 + ctx.q)  # balanced lift room
+    # Least qualifying prime: nothing smaller above the bound works.
+    first = bound + 1 + (-bound) % n
     while not sympy.isprime(first):
         first += n
     assert ring.ell == first
+
+
+@pytest.mark.parametrize("p,ell", [(4201, 1099604188201),
+                                   (19681, 1105804538401),
+                                   (1048573, 28587111481657)])
+def test_default_modulus_keeps_uint64_path(p, ell):
+    # Fields whose old d_max-sized modulus passed 2**50 (4201, 19681) or
+    # 2**63 (1048573, the top of the table budget).  No Gauss table here.
+    ring = get_ring(build_field(p), "exact")
+    assert ring.ell == ell
+    assert ring.ell < _FLOAT_MULMOD_LIMIT
+    assert ring._use_numpy
+
+
+def test_modulus_past_uint64_path_is_refused():
+    # 8q² >= 2**50 needs q beyond any table budget, so the ring is built
+    # on a stand-in that carries only p and q.
+    p = sympy.nextprime(2**24)
+    with pytest.raises(ExactModulusTooLarge, match="float backend"):
+        ResidueRing(SimpleNamespace(p=p, q=p))
+
+
+def test_exact_counts_at_4201_match_brute_force():
+    ctx = build_field(4201)
+    ring = get_ring(ctx, "exact")
+    for family in "AB":
+        for d in (2, 3, 4, 5):
+            curve = CurveParams(family, d, 5, 11)
+            assert count_points(ctx, curve, ring=ring).n_points \
+                == brute_count(ctx, curve), curve
 
 
 def test_root_of_unity_orders(f13):
