@@ -4,9 +4,10 @@ Closed-form point counts for two hyperelliptic families
 
 Family A is y^2 = x^d + a x + b and family B is y^2 = x^d + a x^(d-1) + b.
 When q - 1 satisfies the right congruence, the affine point count is
-q - 1 plus a single hypergeometric-series correction; count_points picks
-the theorem that applies and returns the count together with the series
-value and argument it used.  Everything here is checked against brute
+q plus a character correction plus a power of q times a single
+hypergeometric-series value; count_points picks the closed form that
+applies and returns the count together with the series value and
+argument it used.  Everything here is checked against brute
 enumeration, which is also exported for independent spot checks.
 """
 

@@ -42,10 +42,6 @@ from .curvecount import (
     CurveParams,
     alpha_param,
     beta_param,
-    count_family_a_even,
-    count_family_a_odd,
-    count_family_b_even,
-    count_family_b_odd,
     count_points,
     cubic_discriminant_linear,
     cubic_discriminant_quadratic,
@@ -60,6 +56,7 @@ from .curvecount import (
 from .errors import (
     CongruenceViolated,
     ExactModulusTooLarge,
+    FloatRangeExceeded,
     HypercountError,
     LogOfZero,
     MixedFieldContexts,
@@ -111,6 +108,7 @@ __all__ = [
     "FAMILY_B_EVEN",
     "FAMILY_B_ODD",
     "FieldCtx",
+    "FloatRangeExceeded",
     "HgfSpec",
     "HypercountError",
     "IdentityReport",
@@ -132,10 +130,6 @@ __all__ = [
     "build_field",
     "char_of_order",
     "coefficient_vector",
-    "count_family_a_even",
-    "count_family_a_odd",
-    "count_family_b_even",
-    "count_family_b_odd",
     "count_points",
     "cubic_discriminant_linear",
     "cubic_discriminant_quadratic",

@@ -116,28 +116,6 @@ def theta(ctx: FieldCtx, alpha: int, ring=None) -> CharValue:
     return ring.theta_root(int(ctx.trace_table[alpha]))
 
 
-class GaussSumTable:
-    """All q-1 Gauss sums of a field under one value ring.
-
-    Entry m holds G(T^m); entry 0 is -1, and the table satisfies
-    G_m * G_{-m} = q * T^m(-1) for m != 0.
-    """
-
-    def __init__(self, ctx: FieldCtx, ring=None):
-        ring = _default_ring(ctx, ring)
-        if ring.ctx is not ctx:
-            raise MixedFieldContexts()
-        self.ctx = ctx
-        self.ring = ring
-        self.values = ring.gauss_array
-
-    def __len__(self) -> int:
-        return self.ctx.q - 1
-
-    def __getitem__(self, m: int) -> CharValue:
-        return self.ring.wrap(self.values[m % (self.ctx.q - 1)])
-
-
 def gauss_sum(chi: MultChar, ring=None) -> CharValue:
     """G(chi) = sum_x chi(x) theta(x), from the per-ring cached table."""
     ring = _default_ring(chi.ctx, ring)
@@ -196,13 +174,9 @@ def binom_column(ctx: FieldCtx, m0: int, n0: int, ring=None) -> np.ndarray:
     q = ctx.q
     G = ring.gauss_array
     if m0 == n0:
-        if ring.backend == "exact":
-            out = np.full(Q, (ring.ell - ring._inv_q) % ring.ell,
-                          dtype=np.uint64)
-            out[(-m0) % Q] = (q - 2) * ring._inv_q % ring.ell
-        else:
-            out = np.full(Q, -1.0 / q, dtype=np.complex128)
-            out[(-m0) % Q] = (q - 2) / q
+        nums = np.full(Q, -1, dtype=np.int64)
+        nums[(-m0) % Q] = q - 2
+        out = ring.rational_vec(nums, q)
     else:
         ga = np.roll(G, -m0)                       # G_{m0+j}
         grev = G[(-np.arange(Q)) % Q]              # G_{-j}
@@ -210,18 +184,9 @@ def binom_column(ctx: FieldCtx, m0: int, n0: int, ring=None) -> np.ndarray:
         scalar = G[(n0 - m0) % Q]
         terms = ring.mul_vec(ring.mul_vec(ga, gb),
                              np.broadcast_to(scalar, (Q,)))
-        if ring.backend == "exact":
-            inv_q2 = pow(q * q, -1, ring.ell)
-            out = ring.mul_vec(terms, np.broadcast_to(
-                np.uint64(inv_q2), (Q,)))
-            # The alternating sign (-1)^(m0+j):
-            signs_odd = (np.arange(Q) + m0) % 2 == 1
-            out = np.where(signs_odd, (ring.ell - out) % ring.ell, out)
-            out = out.astype(np.uint64)
-        else:
-            out = terms / (q * q)
-            signs = np.where((np.arange(Q) + m0) % 2 == 1, -1.0, 1.0)
-            out = out * signs
+        # Divide by q^2 and apply the alternating sign (-1)^(m0+j).
+        out = ring.negate_where((np.arange(Q) + m0) % 2 == 1,
+                                ring.scale(terms, 1, q * q))
 
     out.setflags(write=False)
     ring._binom_cache[key] = out

@@ -3,25 +3,31 @@
 Family A is y² = x^d + a·x + b and family B is y² = x^d + a·x^{d-1} + b,
 both over F_q with a, b nonzero and d >= 2.  Subject to a congruence on
 q (mod 2d(d-1), except mod d(d-1) for family B with odd d), the affine
-count equals q plus explicit character corrections plus a power of q
-times one Gaussian hypergeometric series value whose upper/lower
-characters depend only on (family, parity of d) and whose argument is a
-rational expression in a and b.
+count has one shape,
 
-The four closed forms, the parameter maps producing those arguments,
-and d=3 specializations giving the trace of Frobenius for the elliptic
-curves y² = x³+ax+b and y² = x³+ax²+b all live here.  Counting is exact
-under the residue backend; the float backend rounds and verifies the
-result is within tolerance of an integer.
+    N = constant + lead · twist · F(argument),
+
+an integer constant (q plus character corrections), a power of q times a
+sign and an optional character value, and one Gaussian hypergeometric
+series F whose upper/lower characters depend only on (family, parity of
+d) and whose argument is a rational expression in a and b.
+
+:data:`CLOSED_FORMS` holds one :class:`ClosedForm` row per (family,
+parity of d): the method tag, the congruence modulus, the character
+template, the argument map, the constant term and the prefactor.  The traces
+of Frobenius of y² = x³+ax+b and y² = x³+ax²+b are two more rows, sharing
+the d=3 count rows' series.  :func:`count_points` is the only count entry
+point.  Counting is exact under the residue backend; the float backend
+rounds and verifies the result is within tolerance of an integer.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Callable
 
 from .characters import (
-    MultChar,
     char_of_order,
     eval_char,
     quadratic_char,
@@ -99,11 +105,6 @@ def check_coeffs(ctx: FieldCtx, a: int, b: int) -> None:
                              f"[0, {ctx.q})")
         if val == 0:
             raise ZeroCoefficient(name)
-
-
-def _check_congruence(ctx: FieldCtx, modulus: int) -> None:
-    if (ctx.q - 1) % modulus:
-        raise CongruenceViolated(ctx.q, modulus)
 
 
 def _small_int(ctx: FieldCtx, n: int) -> int:
@@ -186,123 +187,130 @@ def family_b_odd_characters(ctx: FieldCtx, d: int):
 
 
 # ---------------------------------------------------------------------------
-# Closed-form counts.
+# Closed forms.
 # ---------------------------------------------------------------------------
 
-def count_family_a_even(ctx: FieldCtx, d: int, a: int, b: int, *,
-                        ring=None) -> CountResult:
-    """Affine points on y² = x^d + a·x + b for even d.
+@dataclass(frozen=True)
+class ClosedForm:
+    """One row of the closed-form table: N = constant + lead·twist·F(arg).
 
-    Requires q = 1 (mod 2d(d-1)).  The count is
-
-        N = q + phi(b) + q^(d/2) * phi(b(d-1)) * F(alpha)
-
-    with F the even-family series and alpha = alpha_param(d, a, b).
+    method:     tag carried by CountResult.
+    modulus:    d -> m; the form needs q = 1 (mod m).
+    characters: (ctx, d) -> (tops, bottoms) of the series F.
+    argument:   (ctx, d, a, b) -> the series argument arg.
+    constant:   (ctx, d, a, b) -> the integer term.
+    prefactor:  (ctx, d, a, b, arg, ring) -> (lead, twist): lead a signed
+                power of q, twist a character value or None.
     """
-    if d < 2 or d % 2:
-        raise ValueError(f"even-degree count requires even d >= 2, got {d}")
-    _check_congruence(ctx, 2 * d * (d - 1))
-    check_coeffs(ctx, a, b)
-    ring = get_ring(ctx, "exact") if ring is None else ring
-    arg = alpha_param(ctx, d, a, b)
-    tops, bottoms = even_family_characters(ctx, d)
-    series = evaluate_hgf(HgfSpec(tops, bottoms, arg), ring)
-    lead = ctx.q ** (d // 2) * quadratic_sign(ctx, ctx.mul(b, ctx.from_int(d - 1)))
-    total = (ctx.q + quadratic_sign(ctx, b)) + lead * series
-    return CountResult(total.lift_int(), FAMILY_A_EVEN, series, arg)
+
+    method: str
+    modulus: Callable
+    characters: Callable
+    argument: Callable
+    constant: Callable
+    prefactor: Callable
 
 
-def count_family_a_odd(ctx: FieldCtx, d: int, a: int, b: int, *,
-                       ring=None) -> CountResult:
-    """Affine points on y² = x^d + a·x + b for odd d >= 3.
-
-    Requires q = 1 (mod 2d(d-1)).  With s = (-1)^((q-1)/4) * phi(-b(d-1))
-    and mu of order 2(d-1), the count is
-
-        N = q + phi(b) - s + q^((d-1)/2) * s * mu(-1/alpha) * F(-alpha).
-    """
-    if d < 3 or d % 2 == 0:
-        raise ValueError(f"odd-degree count requires odd d >= 3, got {d}")
-    _check_congruence(ctx, 2 * d * (d - 1))
-    check_coeffs(ctx, a, b)
-    ring = get_ring(ctx, "exact") if ring is None else ring
-    alpha = alpha_param(ctx, d, a, b)
-    arg = ctx.neg(alpha)
-    tops, bottoms = family_a_odd_characters(ctx, d)
-    series = evaluate_hgf(HgfSpec(tops, bottoms, arg), ring)
+def _a_odd_sign(ctx: FieldCtx, d: int, b: int) -> int:
+    """s = (-1)^((q-1)/4) · phi(-b(d-1)), family A's odd-degree sign."""
     sign = quadratic_sign(ctx, ctx.mul(ctx.neg(b), ctx.from_int(d - 1)))
-    sign *= -1 if ((ctx.q - 1) // 4) % 2 else 1
-    twist = eval_char(char_of_order(ctx, 2 * (d - 1)),
-                      ctx.neg(ctx.inv(alpha)), ring)
-    total = (ctx.q + quadratic_sign(ctx, b) - sign) \
-        + (ctx.q ** ((d - 1) // 2) * sign) * twist * series
-    return CountResult(total.lift_int(), FAMILY_A_ODD, series, arg)
+    return -sign if ((ctx.q - 1) // 4) % 2 else sign
 
 
-def count_family_b_even(ctx: FieldCtx, d: int, a: int, b: int, *,
-                        ring=None) -> CountResult:
-    """Affine points on y² = x^d + a·x^{d-1} + b for even d.
+CLOSED_FORMS = {
+    # N = q + phi(b) + q^(d/2) · phi(b(d-1)) · F(alpha).
+    ("A", "even"): ClosedForm(
+        FAMILY_A_EVEN, lambda d: 2 * d * (d - 1), even_family_characters,
+        alpha_param,
+        lambda ctx, d, a, b: ctx.q + quadratic_sign(ctx, b),
+        lambda ctx, d, a, b, arg, ring: (
+            ctx.q ** (d // 2)
+            * quadratic_sign(ctx, ctx.mul(b, ctx.from_int(d - 1))), None)),
+    # With s = _a_odd_sign and mu of order 2(d-1):
+    # N = q + phi(b) - s + q^((d-1)/2) · s · mu(-1/alpha) · F(-alpha).
+    ("A", "odd"): ClosedForm(
+        FAMILY_A_ODD, lambda d: 2 * d * (d - 1), family_a_odd_characters,
+        lambda ctx, d, a, b: ctx.neg(alpha_param(ctx, d, a, b)),
+        lambda ctx, d, a, b: (ctx.q + quadratic_sign(ctx, b)
+                              - _a_odd_sign(ctx, d, b)),
+        lambda ctx, d, a, b, arg, ring: (
+            ctx.q ** ((d - 1) // 2) * _a_odd_sign(ctx, d, b),
+            eval_char(char_of_order(ctx, 2 * (d - 1)), ctx.inv(arg), ring))),
+    # N = q + phi(b) + q^(d/2) · phi(d-1) · F(beta).
+    ("B", "even"): ClosedForm(
+        FAMILY_B_EVEN, lambda d: 2 * d * (d - 1), even_family_characters,
+        beta_param,
+        lambda ctx, d, a, b: ctx.q + quadratic_sign(ctx, b),
+        lambda ctx, d, a, b, arg, ring: (
+            ctx.q ** (d // 2) * quadratic_sign(ctx, ctx.from_int(d - 1)),
+            None)),
+    # Only q = 1 (mod d(d-1)): N = q + q^((d-1)/2) · phi(-a·d) · F(-beta).
+    ("B", "odd"): ClosedForm(
+        FAMILY_B_ODD, lambda d: d * (d - 1), family_b_odd_characters,
+        lambda ctx, d, a, b: ctx.neg(beta_param(ctx, d, a, b)),
+        lambda ctx, d, a, b: ctx.q,
+        lambda ctx, d, a, b, arg, ring: (
+            ctx.q ** ((d - 1) // 2)
+            * quadratic_sign(ctx, ctx.neg(ctx.mul(a, ctx.from_int(d)))),
+            None)),
+}
 
-    Requires q = 1 (mod 2d(d-1)).  The count is
+# The d = 3 traces of Frobenius, a_q = q - N, evaluate the series of the
+# d = 3 count rows, 2F1(T12, T12^5; phi | -27b²/(4a³)) for family A and
+# 2F1(T6, T6^5; eps | -27b/(4a³)) for family B, with their own prefactors:
+# a_q = -q · T4(a³/27) · F for family A and -q · phi(-3a) · F for family B.
+CLOSED_FORMS["A", "trace"] = replace(
+    CLOSED_FORMS["A", "odd"], method="trace_frobenius_linear",
+    constant=lambda ctx, d, a, b: 0,
+    prefactor=lambda ctx, d, a, b, arg, ring: (
+        -ctx.q,
+        eval_char(char_of_order(ctx, 4),
+                  ctx.mul(ctx.pow_elem(a, 3), ctx.inv(_small_int(ctx, 27))),
+                  ring)))
+CLOSED_FORMS["B", "trace"] = replace(
+    CLOSED_FORMS["B", "odd"], method="trace_frobenius_quadratic",
+    constant=lambda ctx, d, a, b: 0,
+    prefactor=lambda ctx, d, a, b, arg, ring: (
+        (-ctx.q) * quadratic_sign(ctx, ctx.neg(ctx.mul(_small_int(ctx, 3),
+                                                        a))),
+        None))
 
-        N = q + phi(b) + q^(d/2) * phi(d-1) * F(beta)
 
-    with the same characters as the even family-A count but argument
-    beta = beta_param(d, a, b).
+def _parity(d: int) -> str:
+    return "odd" if d % 2 else "even"
+
+
+def _closed_form(ctx: FieldCtx, form: ClosedForm, d: int, a: int, b: int,
+                 ring=None):
+    """The integer constant + lead·twist·F(arg) of one row, with F and arg.
+
+    Returns (value, series value, argument).
     """
-    if d < 2 or d % 2:
-        raise ValueError(f"even-degree count requires even d >= 2, got {d}")
-    _check_congruence(ctx, 2 * d * (d - 1))
+    if (ctx.q - 1) % form.modulus(d):
+        raise CongruenceViolated(ctx.q, form.modulus(d))
     check_coeffs(ctx, a, b)
     ring = get_ring(ctx, "exact") if ring is None else ring
-    arg = beta_param(ctx, d, a, b)
-    tops, bottoms = even_family_characters(ctx, d)
+    arg = form.argument(ctx, d, a, b)
+    tops, bottoms = form.characters(ctx, d)
     series = evaluate_hgf(HgfSpec(tops, bottoms, arg), ring)
-    lead = ctx.q ** (d // 2) * quadratic_sign(ctx, ctx.from_int(d - 1))
-    total = (ctx.q + quadratic_sign(ctx, b)) + lead * series
-    return CountResult(total.lift_int(), FAMILY_B_EVEN, series, arg)
-
-
-def count_family_b_odd(ctx: FieldCtx, d: int, a: int, b: int, *,
-                       ring=None) -> CountResult:
-    """Affine points on y² = x^d + a·x^{d-1} + b for odd d >= 3.
-
-    Requires only q = 1 (mod d(d-1)).  The count is
-
-        N = q + q^((d-1)/2) * phi(-a·d) * F(-beta).
-    """
-    if d < 3 or d % 2 == 0:
-        raise ValueError(f"odd-degree count requires odd d >= 3, got {d}")
-    _check_congruence(ctx, d * (d - 1))
-    check_coeffs(ctx, a, b)
-    ring = get_ring(ctx, "exact") if ring is None else ring
-    arg = ctx.neg(beta_param(ctx, d, a, b))
-    tops, bottoms = family_b_odd_characters(ctx, d)
-    series = evaluate_hgf(HgfSpec(tops, bottoms, arg), ring)
-    sign = quadratic_sign(ctx, ctx.neg(ctx.mul(a, ctx.from_int(d))))
-    total = ctx.q + (ctx.q ** ((d - 1) // 2) * sign) * series
-    return CountResult(total.lift_int(), FAMILY_B_ODD, series, arg)
+    lead, twist = form.prefactor(ctx, d, a, b, arg, ring)
+    term = lead * series if twist is None else lead * twist * series
+    return (form.constant(ctx, d, a, b) + term).lift_int(), series, arg
 
 
 def count_points(ctx: FieldCtx, curve: CurveParams, *, ring=None) -> CountResult:
-    """Dispatch to the closed form matching the curve's family and parity."""
-    if curve.family == "A":
-        fn = count_family_a_even if curve.d % 2 == 0 else count_family_a_odd
-    else:
-        fn = count_family_b_even if curve.d % 2 == 0 else count_family_b_odd
-    return fn(ctx, curve.d, curve.a, curve.b, ring=ring)
+    """Affine points on the curve, by the closed form of its family and
+    the parity of its degree (see :data:`CLOSED_FORMS`)."""
+    form = CLOSED_FORMS[curve.family, _parity(curve.d)]
+    n, series, arg = _closed_form(ctx, form, curve.d, curve.a, curve.b,
+                                  ring)
+    return CountResult(n, form.method, series, arg)
 
 
 def required_congruence(family: str, d: int) -> int:
     """Modulus m such that the closed form needs q = 1 (mod m)."""
-    if family == "B" and d % 2:
-        return d * (d - 1)
-    return 2 * d * (d - 1)
+    return CLOSED_FORMS[family, _parity(d)].modulus(d)
 
-
-# ---------------------------------------------------------------------------
-# d = 3 trace-of-Frobenius specializations.
-# ---------------------------------------------------------------------------
 
 def trace_frobenius_linear(ctx: FieldCtx, a: int, b: int, *, ring=None) -> int:
     """Trace of Frobenius for the elliptic curve y² = x³ + a·x + b.
@@ -315,17 +323,7 @@ def trace_frobenius_linear(ctx: FieldCtx, a: int, b: int, *, ring=None) -> int:
     result equals q minus the affine point count, so it obeys the Hasse
     bound whenever the cubic is nonsingular.
     """
-    _check_congruence(ctx, 12)
-    check_coeffs(ctx, a, b)
-    ring = get_ring(ctx, "exact") if ring is None else ring
-    a3 = ctx.pow_elem(a, 3)
-    arg = ctx.neg(ctx.mul(ctx.mul(_small_int(ctx, 27), ctx.mul(b, b)),
-                          ctx.inv(ctx.mul(_small_int(ctx, 4), a3))))
-    c12 = char_of_order(ctx, 12)
-    spec = HgfSpec((c12, c12**5), (quadratic_char(ctx),), arg)
-    twist = eval_char(char_of_order(ctx, 4),
-                      ctx.mul(a3, ctx.inv(_small_int(ctx, 27))), ring)
-    return ((-ctx.q) * twist * evaluate_hgf(spec, ring)).lift_int()
+    return _closed_form(ctx, CLOSED_FORMS["A", "trace"], 3, a, b, ring)[0]
 
 
 def trace_frobenius_quadratic(ctx: FieldCtx, a: int, b: int, *,
@@ -338,16 +336,7 @@ def trace_frobenius_quadratic(ctx: FieldCtx, a: int, b: int, *,
 
     lifted to an integer; equals q minus the affine point count.
     """
-    _check_congruence(ctx, 6)
-    check_coeffs(ctx, a, b)
-    ring = get_ring(ctx, "exact") if ring is None else ring
-    arg = ctx.neg(ctx.mul(ctx.mul(_small_int(ctx, 27), b),
-                          ctx.inv(ctx.mul(_small_int(ctx, 4),
-                                          ctx.pow_elem(a, 3)))))
-    c6 = char_of_order(ctx, 6)
-    spec = HgfSpec((c6, c6**5), (trivial_char(ctx),), arg)
-    sign = quadratic_sign(ctx, ctx.neg(ctx.mul(_small_int(ctx, 3), a)))
-    return ((-ctx.q) * sign * evaluate_hgf(spec, ring)).lift_int()
+    return _closed_form(ctx, CLOSED_FORMS["B", "trace"], 3, a, b, ring)[0]
 
 
 def cubic_discriminant_linear(ctx: FieldCtx, a: int, b: int) -> int:

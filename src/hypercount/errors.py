@@ -91,6 +91,16 @@ class ExactModulusTooLarge(HypercountError):
             f"backend (--backend float)")
 
 
+class FloatRangeExceeded(HypercountError):
+    """An integer (a count's prefactor q^k) is past the float backend's range;
+    the series it would multiply has underflowed there."""
+
+    def __init__(self, n: int):
+        self.bits = abs(n).bit_length()
+        super().__init__(f"an integer of {self.bits} bits is beyond double "
+                         f"precision; use the exact backend (--backend exact)")
+
+
 class NonIntegerResult(HypercountError):
     """A value that must lift to a rational integer failed to do so.
 

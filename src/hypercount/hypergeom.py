@@ -102,7 +102,4 @@ def evaluate_hgf(spec: HgfSpec, ring=None) -> CharValue:
     twists = ring.root_unity_vec((np.arange(Q, dtype=np.int64) * k) % Q)
     total = ring.sum_vec(ring.mul_vec(coeffs, twists))
     # Normalize by q/(q-1).
-    if ring.backend == "exact":
-        scale = ctx.q * pow(Q, -1, ring.ell) % ring.ell
-        return ring.wrap(total * scale % ring.ell)
-    return ring.wrap(total * ctx.q / Q)
+    return ring.wrap(ring.scale(total, ctx.q, Q))

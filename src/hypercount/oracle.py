@@ -23,7 +23,6 @@ raised.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -151,16 +150,7 @@ def _compare(ring, lhs, rhs, label_of, scale=1.0):
     identity's natural magnitude ``scale`` so the report stays
     meaningful when both sides are large.
     """
-    lhs = np.asarray(lhs)
-    rhs = np.asarray(rhs)
-    if ring.backend == "exact":
-        bad = np.flatnonzero(lhs != rhs)
-        worst = 0.0 if bad.size == 0 else 1.0
-    else:
-        diffs = np.abs(lhs - rhs) / max(1.0, scale)
-        worst = float(diffs.max()) if diffs.size else 0.0
-        # Written as "not within tolerance" so NaN and inf count as failures.
-        bad = np.flatnonzero(~(diffs <= ring.tolerance))
+    bad, worst = ring.mismatches(np.asarray(lhs), np.asarray(rhs), scale)
     first = tuple(label_of(int(i)) for i in bad[:8])
     return int(bad.size), worst, first
 
@@ -200,11 +190,7 @@ def verify_lemmas(ctx: FieldCtx, ring=None) -> list[IdentityReport]:
     # Gauss-sum reflection.
     ks = np.arange(1, Q, dtype=np.int64)
     lhs = ring.mul_vec(G[ks], G[Q - ks])
-    if ring.backend == "exact":
-        rhs = np.where(ks % 2 == 1, (-ctx.q) % ring.ell, ctx.q % ring.ell)
-        rhs = rhs.astype(np.uint64)
-    else:
-        rhs = np.where(ks % 2 == 1, -ctx.q, ctx.q).astype(np.complex128)
+    rhs = ring.rational_vec(np.where(ks % 2 == 1, -ctx.q, ctx.q))
     reports.append(_merge(
         "gauss_reflection",
         [(len(ks), *_compare(ring, lhs, rhs, lambda i: int(ks[i]),
@@ -232,12 +218,7 @@ def verify_lemmas(ctx: FieldCtx, ring=None) -> list[IdentityReport]:
     ks = np.arange(Q, dtype=np.int64)
     prod_exps = (ks[:, None] * ks[None, :]) % Q   # entry (k, i) = k*i mod Q
     table = roots[prod_exps]
-    if ring.backend == "exact":
-        expect = np.zeros(Q, dtype=np.uint64)
-        expect[0] = Q % ring.ell
-    else:
-        expect = np.zeros(Q, dtype=np.complex128)
-        expect[0] = Q
+    expect = ring.rational_vec(np.where(ks == 0, Q, 0))
     by_char = ring.sum_rows(table)          # fixed k, summed over x = g^i
     by_elem = ring.sum_rows(table.T)        # fixed x = g^i, summed over k
     reports.append(_merge("orthogonality", [
@@ -250,10 +231,7 @@ def verify_lemmas(ctx: FieldCtx, ring=None) -> list[IdentityReport]:
     # Additive character recovered from Gauss sums.
     lhs = ring.theta_root_vec(ctx.trace_table[ctx.exp_table])
     terms = ring.mul_vec(roots[prod_exps], G[(Q - ks) % Q][None, :])
-    if ring.backend == "exact":
-        rhs = ring.mul_vec(ring.sum_rows(terms), np.uint64(ring.inv_int(Q)))
-    else:
-        rhs = ring.sum_rows(terms) / Q
+    rhs = ring.scale(ring.sum_rows(terms), 1, Q)
     reports.append(_merge(
         "theta_from_gauss",
         [(Q, *_compare(ring, lhs, rhs, lambda i: int(ctx.exp_table[i])))]))
@@ -263,22 +241,6 @@ def verify_lemmas(ctx: FieldCtx, ring=None) -> list[IdentityReport]:
 # ---------------------------------------------------------------------------
 # Davenport–Hasse product relation and its progression corollary.
 # ---------------------------------------------------------------------------
-
-def _unit_gauss(ctx: FieldCtx, ring):
-    """Gauss table for long products, and the factor it was divided by.
-
-    On the float backend every G(T^m) with m != 0 has modulus sqrt(q), so
-    a product of m of them overflows double precision once q^(m/2) passes
-    about 1e308 (q = 257, m = 256).  Dividing the table by sqrt(q) once
-    keeps every product at modulus at most 1, and a product identity with
-    one more Gauss factor on one side than the other takes the factor
-    back once.  Exact residues need no scaling: the factor is 1.
-    """
-    if ring.backend == "exact":
-        return ring.gauss_array, 1
-    unit = math.sqrt(ctx.q)
-    return ring.gauss_array / unit, unit
-
 
 def verify_davenport_hasse(ctx: FieldCtx, m: int, psi_index: int,
                            ring=None) -> list[IdentityReport]:
@@ -308,7 +270,7 @@ def verify_davenport_hasse(ctx: FieldCtx, m: int, psi_index: int,
     if Q % m:
         raise CongruenceViolated(ctx.q, m)
     ring = get_ring(ctx, "exact") if ring is None else ring
-    G, unit = _unit_gauss(ctx, ring)
+    G, unit = ring.unit_gauss()
     roots = ring.roots_q1
     step = Q // m
     psi_index %= Q
@@ -337,25 +299,16 @@ def verify_davenport_hasse(ctx: FieldCtx, m: int, psi_index: int,
     ls = np.arange(Q, dtype=np.int64)
     k0 = dlog(ctx, ctx.pow_elem(ctx.from_int(m), m))
     base = ring.mul_vec(roots[(-k0 * ls) % Q], G[(m * ls) % Q])
-    # With unit-modulus float factors the powers of q cancel: both sides
-    # then have m factors of modulus 1.
+    # Both sides have m Gauss factors, so the power of q is taken in the
+    # table's units (with unit-modulus float factors it cancels to 1).
     if m % 2:
         sign = -1 if ((m - 1) * (m + 1) * Q // (8 * m)) % 2 else 1
-        if ring.backend == "exact":
-            scalar = sign * pow(ctx.q, (m - 1) // 2, ring.ell) % ring.ell
-        else:
-            scalar = sign
+        scalar = sign * ring.wrap(ring.q_pow_unit((m - 1) // 2))
     else:
         sign = -1 if ((m - 2) * Q // 8) % 2 else 1
-        if ring.backend == "exact":
-            scalar = sign * pow(ctx.q, (m - 2) // 2, ring.ell) \
-                * int(G[Q // 2]) % ring.ell
-        else:
-            scalar = sign * G[Q // 2]
-    if ring.backend == "exact":
-        rhs_vec = ring.mul_vec(base, np.uint64(scalar))
-    else:
-        rhs_vec = base * scalar
+        scalar = sign * ring.wrap(ring.q_pow_unit((m - 2) // 2)) \
+            * ring.wrap(G[Q // 2])
+    rhs_vec = ring.mul_vec(base, scalar.payload)
     chunks = []
     for t in (1, -1):
         lhs_vec = G[ls]
@@ -386,7 +339,7 @@ def davenport_hasse_products(ctx: FieldCtx, m: int,
     if Q % m:
         raise CongruenceViolated(ctx.q, m)
     ring = get_ring(ctx, "exact") if ring is None else ring
-    G, unit = _unit_gauss(ctx, ring)
+    G, unit = ring.unit_gauss()
     step = Q // m
     psis = np.arange(Q, dtype=np.int64)
 
@@ -401,10 +354,7 @@ def davenport_hasse_products(ctx: FieldCtx, m: int,
     k1 = dlog(ctx, ctx.pow_elem(ctx.inv(ctx.from_int(m)), m))
     rhs = ring.mul_vec(G[(m * psis) % Q], ring.roots_q1[(k1 * psis) % Q])
     # The right side has m + 1 Gauss factors to the left side's m.
-    if ring.backend == "exact":
-        rhs = ring.mul_vec(rhs, np.uint64(const.payload))
-    else:
-        rhs = rhs * (const.payload * unit)
+    rhs = ring.mul_vec(rhs, (const * ring.wrap(unit)).payload)
 
     chunk = (Q, *_compare(ring, lhs, rhs, lambda i, m=m: (m, i)))
     return _merge("davenport_hasse_product_all_psi", [chunk])

@@ -20,7 +20,10 @@ interchangeable backends realize this ring:
 
 Scalar values are wrapped in :class:`CharValue`; bulk kernels work on raw
 numpy arrays through the ring's vector helpers (``mul_vec``, ``sum_vec``,
-``root_unity_vec``) to keep hot loops free of per-element wrappers.
+``sum_rows``, ``root_unity_vec``, ``rational_vec``, ``scale``,
+``negate_where``, ``mismatches``, ``unit_gauss``, ``q_pow_unit``) to keep
+hot loops free of per-element wrappers.  Both rings implement every
+helper, so no kernel branches on the backend.
 """
 
 from __future__ import annotations
@@ -31,7 +34,12 @@ import weakref
 import numpy as np
 import sympy
 
-from .errors import ExactModulusTooLarge, MixedFieldContexts, NonIntegerResult
+from .errors import (
+    ExactModulusTooLarge,
+    FloatRangeExceeded,
+    MixedFieldContexts,
+    NonIntegerResult,
+)
 from .ffield import FieldCtx
 
 #: Default absolute tolerance for integer-valued float results.
@@ -155,7 +163,10 @@ class ComplexRing:
         return u / self.ctx.q
 
     def from_int(self, n: int) -> CharValue:
-        return CharValue(self, complex(n))
+        try:
+            return CharValue(self, complex(n))
+        except OverflowError:
+            raise FloatRangeExceeded(n) from None
 
     def zero(self) -> CharValue:
         return CharValue(self, 0j)
@@ -207,6 +218,30 @@ class ComplexRing:
         """Per-row sums of a 2-D payload matrix."""
         return np.sum(mat, axis=1)
 
+    def rational_vec(self, nums, den: int = 1) -> np.ndarray:
+        """Payloads of the rationals nums/den (nums an integer array)."""
+        return (np.asarray(nums) / den).astype(np.complex128)
+
+    def scale(self, u, num: int, den: int = 1):
+        """Payload(s) u·num/den for integers num, den; unit factors skipped."""
+        if num != 1:
+            u = u * num
+        if den != 1:
+            u = u / den
+        return u
+
+    def negate_where(self, mask, u) -> np.ndarray:
+        """u with the entries where mask is true negated."""
+        return u * np.where(mask, -1.0, 1.0)
+
+    def mismatches(self, u, v, scale: float = 1.0):
+        """Flat indices where u and v differ, and the worst residual, both
+        relative to the natural magnitude ``scale``."""
+        diffs = np.abs(u - v) / max(1.0, scale)
+        worst = float(diffs.max()) if diffs.size else 0.0
+        # Written as "not within tolerance" so NaN and inf count as failures.
+        return np.flatnonzero(~(diffs <= self.tolerance)), worst
+
     def wrap(self, payload) -> CharValue:
         return CharValue(self, payload)
 
@@ -226,6 +261,22 @@ class ComplexRing:
             self._gauss = np.fft.ifft(u) * (ctx.q - 1)
             self._gauss.setflags(write=False)
         return self._gauss
+
+    def unit_gauss(self):
+        """Gauss table for long products, and the factor it was divided by.
+
+        Every G(T^m) with m != 0 has modulus sqrt(q), so a product of m of
+        them overflows double precision once q^(m/2) passes about 1e308
+        (q = 257, m = 256).  Dividing the table by sqrt(q) once keeps every
+        product at modulus at most 1; an identity with one more Gauss
+        factor on one side than the other takes the factor back once.
+        """
+        unit = math.sqrt(self.ctx.q)
+        return self.gauss_array / unit, unit
+
+    def q_pow_unit(self, k: int):
+        """q^k in the units of :meth:`unit_gauss`: q^k / unit^(2k) = 1."""
+        return 1
 
 
 class ResidueRing:
@@ -406,6 +457,27 @@ class ResidueRing:
                                 dtype=np.uint64)) % ell
         return out
 
+    def rational_vec(self, nums, den: int = 1) -> np.ndarray:
+        """Residues of the rationals nums/den (nums an integer array)."""
+        residues = (np.asarray(nums) % self.ell).astype(np.uint64)
+        return self.scale(residues, 1, den)
+
+    def scale(self, u, num: int, den: int = 1):
+        """Residue(s) u·num/den for rational integers num and den != 0."""
+        c = num * pow(den, -1, self.ell) % self.ell
+        if isinstance(u, int):
+            return u * c % self.ell
+        return self.mul_vec(u, np.uint64(c))
+
+    def negate_where(self, mask, u) -> np.ndarray:
+        """u with the entries where mask is true negated."""
+        return np.where(mask, (self.ell - u) % self.ell, u).astype(np.uint64)
+
+    def mismatches(self, u, v, scale: float = 1.0):
+        """Flat indices where u and v differ, and the worst residual (0/1)."""
+        bad = np.flatnonzero(u != v)
+        return bad, 0.0 if bad.size == 0 else 1.0
+
     def wrap(self, payload) -> CharValue:
         return CharValue(self, int(payload) % self.ell)
 
@@ -429,6 +501,14 @@ class ResidueRing:
             out.setflags(write=False)
             self._gauss = out
         return self._gauss
+
+    def unit_gauss(self):
+        """The Gauss table and its unit: residues need no scaling."""
+        return self.gauss_array, 1
+
+    def q_pow_unit(self, k: int):
+        """Residue of q^k (the unit of :meth:`unit_gauss` is 1)."""
+        return pow(self.ctx.q, k, self.ell)
 
 
 _RING_CACHE: "weakref.WeakKeyDictionary[FieldCtx, dict]" = weakref.WeakKeyDictionary()

@@ -81,6 +81,19 @@ def test_count_rejects_codes_outside_the_field(capsys, a, mode):
     assert f"a={a} is not a field-element code" in err
 
 
+def test_count_float_prefactor_past_double_range_exits_one(capsys):
+    # q^75 at q = 22651 is about 10^326: the float count must refuse
+    # cleanly rather than end in an OverflowError traceback.
+    code, out, err = run(capsys, "count", "--q", "22651", "--family", "B",
+                         "--d", "151", "--a", "1", "--b", "1",
+                         "--backend", "float")
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith("hypercount: error: ") and err.count("\n") == 1
+    assert "--backend exact" in err
+
+
 def test_count_json_validates(capsys):
     code, out, _ = run(capsys, "count", "--q", "73", "--family", "B",
                        "--d", "4", "--a", "2", "--b", "3", "--check",

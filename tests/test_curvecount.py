@@ -2,7 +2,7 @@
 
 The big grids run in the acceptance module; these tests pin the exact
 character templates and series arguments the closed forms are built
-from, and exercise every dispatch/validation branch.
+from, and exercise every validation branch.
 """
 
 import pytest
@@ -17,10 +17,6 @@ from hypercount import (
     beta_param,
     brute_count,
     build_field,
-    count_family_a_even,
-    count_family_a_odd,
-    count_family_b_even,
-    count_family_b_odd,
     count_points,
     cubic_discriminant_linear,
     cubic_discriminant_quadratic,
@@ -164,17 +160,6 @@ def test_counts_match_oracle(p, e, family, d, backend):
         assert result.hgf_value is not None
 
 
-def test_dispatch_parity_guards(f13):
-    with pytest.raises(ValueError):
-        count_family_a_even(f13, 3, 1, 1)
-    with pytest.raises(ValueError):
-        count_family_a_odd(f13, 2, 1, 1)
-    with pytest.raises(ValueError):
-        count_family_b_even(f13, 5, 1, 1)
-    with pytest.raises(ValueError):
-        count_family_b_odd(f13, 4, 1, 1)
-
-
 def test_congruence_guards(f13):
     with pytest.raises(CongruenceViolated):
         count_points(f13, CurveParams("A", 4, 1, 1))  # needs 24 | 12
@@ -210,6 +195,9 @@ def test_trace_linear_matches_affine_deficit(p, e, backend):
     for a, b in [(1, 1), (2, 5), (3, 2), (4, 4)]:
         t = trace_frobenius_linear(ctx, a, b, ring=ring)
         assert t == ctx.q - brute_count(ctx, CurveParams("A", 3, a, b))
+        # The paper's d = 3 corollary: the trace is q minus the count.
+        assert t == ctx.q - count_points(ctx, CurveParams("A", 3, a, b),
+                                         ring=ring).n_points
         if cubic_discriminant_linear(ctx, a, b) != 0:
             assert abs(t) <= hasse_bound(ctx.q)
 
@@ -220,8 +208,9 @@ def test_trace_quadratic_matches_affine_deficit(p, e, backend):
     ring = get_ring(ctx, backend)
     for a, b in [(1, 1), (2, 3), (3, 1), (5, 2)]:
         t = trace_frobenius_quadratic(ctx, a % ctx.q, b % ctx.q, ring=ring)
-        assert t == ctx.q - brute_count(ctx, CurveParams("B", 3, a % ctx.q,
-                                                         b % ctx.q))
+        curve = CurveParams("B", 3, a % ctx.q, b % ctx.q)
+        assert t == ctx.q - brute_count(ctx, curve)
+        assert t == ctx.q - count_points(ctx, curve, ring=ring).n_points
         if cubic_discriminant_quadratic(ctx, a % ctx.q, b % ctx.q) != 0:
             assert abs(t) <= hasse_bound(ctx.q)
 

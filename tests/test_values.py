@@ -14,6 +14,8 @@ import sympy
 from hypercount import (
     CurveParams,
     ExactModulusTooLarge,
+    FloatRangeExceeded,
+    HypercountError,
     MixedFieldContexts,
     NonIntegerResult,
     ResidueRing,
@@ -147,6 +149,15 @@ def test_float_lift_guards_against_non_integers(f13):
         ring.wrap(3.01 + 0j).lift_int()
     with pytest.raises(NonIntegerResult):
         ring.wrap(3 + 0.01j).lift_int()
+
+
+def test_float_from_int_refuses_integers_past_double_range(f13):
+    ring = get_ring(f13, "float")
+    assert ring.from_int(10**308).payload == complex(10**308)
+    with pytest.raises(FloatRangeExceeded) as info:
+        ring.from_int(10**309)
+    assert isinstance(info.value, HypercountError)
+    assert "exact backend" in str(info.value)
 
 
 def test_mixed_rings_do_not_combine(f13, f25):
