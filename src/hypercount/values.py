@@ -16,7 +16,10 @@ interchangeable backends realize this ring:
   The images of the two roots of unity are fixed powers of an element
   ``w`` of order ``p*(q-1)`` derived from the least primitive root of
   ``ell``, so runs are reproducible.  Every rational-integer result is
-  recovered exactly from its balanced residue.
+  recovered exactly from its balanced residue.  Its Gauss table is an
+  exact length-(q-1) DFT mod ell (:meth:`ResidueRing.dft_mod`): Bluestein's
+  chirp-z transform, with the convolution done by a three-prime NTT and
+  Garner's CRT, in O(q log q) time and O(q) memory.
 
 Scalar values are wrapped in :class:`CharValue`; bulk kernels work on raw
 numpy arrays through the ring's vector helpers (``mul_vec``, ``sum_vec``,
@@ -53,6 +56,30 @@ _ELL_FLOOR = 2**40
 #: margin.  The default exact ring refuses to go there; a ring sized by an
 #: explicit ``d_max`` falls back to object-dtype arithmetic instead.
 _FLOAT_MULMOD_LIMIT = 2**50
+
+#: Primes of the exact convolution in :meth:`ResidueRing.dft_mod`.  Each is
+#: c·2^k + 1 with k >= 23 and primitive root 3, and each is below 2**30, so
+#: the product of two residues stays below 2**60 and uint64 arithmetic is
+#: exact.  Their product is about 2**86.
+_NTT_PRIMES = (998244353, 167772161, 469762049)
+_NTT_MAX_LEN = 2**23
+
+#: Largest radix of an NTT pass: a pass sums this many products below
+#: 2**60, so it must stay at most 16 for uint64.  Timing a forward and an
+#: inverse transform of four rows, radix 8 was the fastest of 2, 4, 8 and
+#: 16 at every length from 64 to 16384, and within 10% of radix 4 at 2**18.
+_NTT_RADIX = 8
+
+#: Entries an NTT pass transforms at once (see :func:`_ntt`).  Blocks of
+#: 2**12 to 2**18 entries took the same 7-8 s and 197 MB for the Gauss
+#: table at q = 1048573; whole passes took 10.4 s and 348 MB.
+_NTT_BLOCK = 2**16
+
+#: Residues mod ell are split into limbs of this many bits for the NTT.
+_LIMB_BITS = 25
+
+#: Most uint64 entries :meth:`ResidueRing.dft_mod` recombines in one chunk.
+_GARNER_CHUNK = 2**18
 
 
 class CharValue:
@@ -279,6 +306,141 @@ class ComplexRing:
         return 1
 
 
+def _reduce(t, m):
+    """t mod m in place, for t < 2**64: numpy divides by a scalar far faster
+    than it takes a remainder."""
+    t -= t // m * m
+    return t
+
+
+def _powers(bases, count: int, mod: int, mulmod) -> np.ndarray:
+    """Rows base^i mod ``mod`` for i < count, one row per base.
+
+    Each step multiplies the filled prefix by up to fifteen powers of the
+    bases in one ``mulmod`` call, so the table grows up to sixteenfold a
+    step: few numpy calls even for small tables, no Python loop over i.
+    """
+    out = np.empty((len(bases), count), dtype=np.uint64)
+    out[:, :1] = 1
+    s = 1
+    while s < count:
+        k = min(16, -(-count // s))   # blocks of s entries after the step
+        steps = np.array([[pow(b, s * j, mod) for j in range(1, k)]
+                          for b in bases], dtype=np.uint64)
+        block = mulmod(out[:, None, :s], steps[:, :, None])
+        end = min(k * s, count)
+        out[:, s:end] = block.reshape(len(bases), -1)[:, :end - s]
+        s = end
+    return out
+
+
+def _ntt_roots(mod: int, n: int) -> np.ndarray:
+    """w^j mod the prime ``mod`` for j < n, where w = 3^((mod - 1)/n) is a
+    primitive n-th root of unity (n a power of two dividing mod - 1)."""
+    m = np.uint64(mod)
+    return _powers([pow(3, (mod - 1) // n, mod)], n, mod,
+                   lambda u, v: _reduce(u * v, m))[0]
+
+
+def _ntt_plans(n: int) -> tuple:
+    """The passes of a forward and of an inverse length-n NTT, each list in
+    the order the passes run.
+
+    A pass is (r, c, dft, before, after): it views its input as (B, r, c),
+    takes the length-r DFTs along the middle axis as one matmul with the
+    r×r matrix of exponents ``dft``, and scales the (r, c) entries by the
+    twiddle exponents ``before`` or ``after`` the matmul (or not at all, for
+    None).  Exponents index the table of powers of a primitive n-th root w;
+    the inverse's are negated, and roots[-e] = w^(n - e) = w^-e.
+    """
+    forward = []
+    sub = n
+    while sub > 1:
+        r = min(_NTT_RADIX, sub)
+        c = sub // r
+        # Every exponent is below r·n <= 2**26, so int32 holds it.
+        k = np.arange(r, dtype=np.int32)[:, None]
+        dft = k * np.arange(r, dtype=np.int32) * (n // r) % n
+        twiddle = (k * np.arange(c, dtype=np.int32) * (n // sub)
+                   if c > 1 else None)
+        forward.append((r, c, dft, None, twiddle))
+        sub = c
+    inverse = [(r, c, -dft, None if twiddle is None else -twiddle, None)
+               for r, c, dft, _, twiddle in reversed(forward)]
+    return forward, inverse
+
+
+def _ntt(x, m, roots, plan) -> None:
+    """In-place cyclic NTT of length n along the last axis of x, shape
+    (R, n), modulo the prime m (a numpy uint64 scalar), by the passes of
+    ``_ntt_plans``; roots[j] = w^j mod m for j < n.
+
+    Cooley-Tukey with radix r <= ``_NTT_RADIX``: a forward pass on (B, r, c)
+    takes the length-r DFTs along the middle axis and scales entry
+    [b, k, j'] by w^(k·j'·n/(r·c)); the length-c DFTs of the (B·r, c) view
+    then finish the job.  Forward leaves the output in digit-reversed
+    order; the inverse plan undoes the passes in reverse, returns natural
+    order and scales by n.  A pointwise product between the two needs no
+    reordering.  A pass runs over blocks of whole (r, c) slices, about
+    ``_NTT_BLOCK`` entries or one slice, so its temporaries stay that small.
+    """
+    for r, c, dft, before, after in plan:
+        x3 = x.reshape(-1, r, c)
+        dft = roots[dft]
+        before = None if before is None else roots[before]
+        after = None if after is None else roots[after]
+        step = max(1, _NTT_BLOCK // (r * c))
+        for lo in range(0, len(x3), step):
+            block = x3[lo:lo + step]
+            if before is not None:
+                block *= before
+                _reduce(block, m)
+            # r sums of r products below 2**60 each: below 2**64.
+            out = _reduce(np.matmul(dft, block), m)
+            if after is not None:
+                out *= after
+                _reduce(out, m)
+            block[...] = out
+
+
+def _convolve_window(a, b, limbs: int, lo: int, hi: int) -> np.ndarray:
+    """Entries lo..hi-1 of the cyclic convolution of the integer vectors a
+    and b (uint64, entries below 2**(limbs·_LIMB_BITS)), limb by limb.
+
+    Returns residues of shape (3, 2·limbs − 1, hi − lo): row [k, s] holds
+    the convolution of the limb pairs (i, j) with i + j = s, modulo
+    ``_NTT_PRIMES[k]``.  The length n is the least power of two holding b.
+    The primes run one at a time, so at most 4·limbs − 1 rows of n uint64,
+    and temporaries of a row or of one pass's block, are alive at once.
+    """
+    n = 1 << (len(b) - 1).bit_length()
+    if n > _NTT_MAX_LEN:
+        raise ValueError(f"transform length {n} exceeds {_NTT_MAX_LEN}")
+    mask = np.uint64((1 << _LIMB_BITS) - 1)
+    sums = 2 * limbs - 1
+    out = np.empty((3, sums, hi - lo), dtype=np.uint32)
+    plan, inverse_plan = _ntt_plans(n)
+    for k, mod in enumerate(_NTT_PRIMES):
+        m = np.uint64(mod)
+        roots = _ntt_roots(mod, n)
+        x = np.zeros((2 * limbs, n), dtype=np.uint64)
+        for i in range(limbs):
+            shift = np.uint64(i * _LIMB_BITS)
+            x[i, :len(a)] = (a >> shift) & mask
+            x[limbs + i, :len(b)] = (b >> shift) & mask
+        _ntt(x, m, roots, plan)
+        y = np.zeros((sums, n), dtype=np.uint64)
+        for s in range(sums):
+            for i in range(max(0, s - limbs + 1), min(s, limbs - 1) + 1):
+                # Each product is below 2**60; at most three summands.
+                y[s] += _reduce(x[i] * x[limbs + s - i], m)
+        del x
+        _ntt(_reduce(y, m), m, roots, inverse_plan)
+        out[k] = _reduce(y[:, lo:hi] * np.uint64(pow(n, -1, mod)), m)
+        del y  # before the next prime's x is allocated
+    return out
+
+
 class ResidueRing:
     """Exact backend: values are residues modulo an auxiliary prime ell.
 
@@ -304,6 +466,26 @@ class ResidueRing:
 
     An explicit ``d_max`` instead sizes ell above 4·q^(ceil(d_max/2) + 1)
     and falls back to object-dtype arithmetic once ell reaches 2**50.
+
+    The Gauss table is the length-Q DFT of u[i] = zeta_p^tr(g^i), Q = q - 1,
+    computed by :meth:`dft_mod` (Bluestein 1970).  Since m·k = C(m+k, 2) -
+    C(m, 2) - C(k, 2), G_m = zeta^(-C(m,2)) · sum_k a[k]·b[m+k] with
+    a[k] = u[k]·zeta^(-C(k,2)) and b[n] = zeta^(C(n,2)), n < 2Q - 1: only
+    powers of the (q-1)-th root zeta are needed.  Entries Q-1..2Q-2 of the
+    convolution of reversed a with b are those sums, so a cyclic transform
+    of length N = 2^ceil(log2(2Q - 1)) loses none of them.  Residues are
+    split into L = ceil(bits(ell)/25) limbs below 2**25 (L = 2 for the
+    default ell, 3 for the widest d_max ring), and the limb convolutions
+    run modulo the NTT primes 998244353, 167772161 and 469762049.  Each
+    integer coefficient is at most L·Q·(2**25)² < L·N·2**50 < 2**74 (N <=
+    2**23), below the primes' product of about 2**86, so Garner's CRT
+    recovers it exactly; ``mul_vec`` reduces it mod ell and the limbs fold
+    back with powers of 2**25.  Time is O(L·Q log Q).  The primes run one
+    after another and each transform runs in place, so the peak holds
+    about 15 rows of N uint64 for L = 2: the 2L limb rows and 2L - 1
+    products of one prime, the chirp and the (3, 2L - 1, Q) uint32 window
+    of results.  The table at q = 1048573 raises peak RSS by about 200 MB
+    over the field and ring.
     """
 
     backend = "exact"
@@ -334,10 +516,10 @@ class ResidueRing:
         self.w = pow(gamma, (self.ell - 1) // n, self.ell)
         w_q1 = pow(self.w, p, self.ell)       # image of zeta_{q-1}
         w_p = pow(self.w, q - 1, self.ell)    # image of zeta_p
-        self.roots_q1 = self._power_table(w_q1, q - 1)
-        self.roots_p = self._power_table(w_p, p)
-        self._inv_q = pow(q, -1, self.ell)
         self._use_numpy = self.ell < _FLOAT_MULMOD_LIMIT
+        self.roots_q1, self.roots_p = self._power_tables((w_q1, q - 1),
+                                                        (w_p, p))
+        self._inv_q = pow(q, -1, self.ell)
         self._gauss = None
         self._binom_cache: dict = {}
         self._hgf_cache: dict = {}
@@ -350,14 +532,15 @@ class ResidueRing:
                 return cand
         raise RuntimeError("no primitive root found")  # unreachable
 
-    def _power_table(self, base: int, count: int) -> np.ndarray:
-        out = np.empty(count, dtype=np.uint64)
-        acc = 1
-        for i in range(count):
-            out[i] = acc
-            acc = (acc * base) % self.ell
-        out.setflags(write=False)
-        return out
+    def _power_tables(self, *pairs) -> list:
+        """For each (base, count), the read-only table base^i mod ell for
+        i < count, all filled together by :func:`_powers`."""
+        out = _powers([base for base, _ in pairs],
+                      max(count for _, count in pairs), self.ell, self.mul_vec)
+        tables = [out[k, :count].copy() for k, (_, count) in enumerate(pairs)]
+        for table in tables:
+            table.setflags(write=False)
+        return tables
 
     # -- scalar payload ops (plain python ints in [0, ell)) -------------------
 
@@ -483,21 +666,58 @@ class ResidueRing:
 
     # -- Gauss sums -------------------------------------------------------------
 
+    def dft_mod(self, u) -> np.ndarray:
+        """Exact DFT: entry m is sum_i u[i]·zeta^(m·i) mod ell, m < Q.
+
+        u is a length-Q residue vector, Q = q - 1 and zeta = roots_q1[1].
+        Bluestein's chirp-z route (see the class docstring) in O(Q log Q).
+        """
+        powers = self.roots_q1
+        Q = len(powers)
+        if len(u) != Q:
+            raise ValueError(f"dft_mod needs {Q} residues, got {len(u)}")
+        tri = np.arange(2 * Q - 1, dtype=np.int64)
+        tri *= tri - 1
+        tri //= 2
+        tri %= Q                              # C(k, 2) mod Q, k < 2Q - 1
+        down = powers[-tri[:Q] % Q]           # zeta^(-C(k, 2)), k < Q
+        chirp = powers[tri]
+        del tri
+        a = np.asarray(self.mul_vec(u, down), dtype=np.uint64)[::-1]
+        limbs = -(-self.ell.bit_length() // _LIMB_BITS)
+        window = _convolve_window(a, chirp, limbs, Q - 1, 2 * Q - 1)
+        del a, chirp
+        m1, m2, m3 = _NTT_PRIMES
+        ell = self.ell
+        # Entry [d, s] weighs Garner digit d of the limb-sum s mod ell.
+        weights = np.array([[c * (1 << (_LIMB_BITS * s)) % ell
+                             for s in range(2 * limbs - 1)]
+                            for c in (1, m1, m1 * m2)], dtype=np.uint64)
+        conv = np.empty(Q, dtype=np.uint64)
+        cols = _GARNER_CHUNK // weights.size
+        for lo in range(0, Q, cols):
+            # Garner: each limb-sum convolution is r1 + m1·v2 + m1·m2·v3.
+            r1, r2, r3 = window[:, :, lo:lo + cols].astype(np.uint64)
+            v2 = (r2 + (m2 - r1 % m2)) % m2 * pow(m1, -1, m2) % m2
+            v3 = (r3 + (m3 - r1 % m3)) % m3
+            v3 = (v3 + (m3 - (m1 % m3) * v2 % m3)) % m3
+            v3 = v3 * pow(m1 * m2 % m3, -1, m3) % m3
+            terms = self.mul_vec(np.stack([r1, v2, v3]) % ell,
+                                 weights[:, :, None])
+            conv[lo:lo + cols] = self.sum_rows(
+                terms.reshape(-1, r1.shape[1]).T)
+        return np.asarray(self.mul_vec(conv, down), dtype=np.uint64)
+
     @property
     def gauss_array(self) -> np.ndarray:
-        """All q-1 Gauss sums as residues; entry m is G(T^m)."""
+        """All q-1 Gauss sums as residues; entry m is G(T^m).
+
+        With u[i] = zeta_p^tr(g^i), G(T^m) = sum_i u[i]·zeta_{q-1}^(m·i) is
+        the length-(q-1) DFT of u, computed exactly by :meth:`dft_mod`.
+        """
         if self._gauss is None:
             ctx = self.ctx
-            Q = ctx.q - 1
-            u = self.roots_p[ctx.trace_table[ctx.exp_table]]
-            out = np.empty(Q, dtype=np.uint64)
-            idx = np.arange(Q, dtype=np.int64)
-            block = max(1, (1 << 22) // max(Q, 1))
-            for start in range(0, Q, block):
-                ms = np.arange(start, min(start + block, Q), dtype=np.int64)
-                exps = (ms[:, None] * idx[None, :]) % Q
-                terms = self.mul_vec(self.roots_q1[exps], u[None, :])
-                out[ms] = self.sum_rows(terms).astype(np.uint64)
+            out = self.dft_mod(self.roots_p[ctx.trace_table[ctx.exp_table]])
             out.setflags(write=False)
             self._gauss = out
         return self._gauss

@@ -13,6 +13,7 @@ from hypercount import (
     CongruenceViolated,
     CurveParams,
     IdentityReport,
+    ResidueRing,
     brute_count,
     build_field,
     davenport_hasse_products,
@@ -164,6 +165,18 @@ def test_nan_gauss_sum_fails_the_product_check(f13):
     ring._gauss = table
     rep = davenport_hasse_products(f13, 2, ring)
     assert not rep.passed and rep.mismatch_count > 0
+
+
+def test_corrupt_exact_gauss_sum_fails_the_identity_checks(f13):
+    ring = ResidueRing(f13)
+    table = ring.gauss_array.copy()
+    table[5] = (int(table[5]) + 1) % ring.ell
+    ring._gauss = table
+    rep = davenport_hasse_products(f13, 2, ring)
+    assert not rep.passed and rep.mismatch_count > 0
+    lemmas = {r.identity: r for r in verify_lemmas(f13, ring)}
+    assert not lemmas["gauss_reflection"].passed
+    assert lemmas["gauss_reflection"].first_mismatches == (5, 7)
 
 
 def test_davenport_hasse_degenerate_and_errors(f13):

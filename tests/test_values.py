@@ -5,6 +5,7 @@ root-of-unity tables — no FFT, no blocking — so the two computation
 routes are independent.
 """
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -24,7 +25,13 @@ from hypercount import (
     count_points,
     get_ring,
 )
-from hypercount.values import _FLOAT_MULMOD_LIMIT
+from hypercount.values import (
+    _FLOAT_MULMOD_LIMIT,
+    _LIMB_BITS,
+    _NTT_MAX_LEN,
+    _NTT_PRIMES,
+    _NTT_RADIX,
+)
 
 
 def naive_gauss(ctx, ring, m):
@@ -104,6 +111,23 @@ def test_root_of_unity_orders(f13):
     t = int(ring.roots_p[1])
     for j in range(f13.p):
         assert int(ring.roots_p[j]) == pow(t, j, ring.ell)
+    assert not ring.roots_q1.flags.writeable
+    assert not ring.roots_p.flags.writeable
+
+
+# Tables filled in one short step (q = 3), two steps (17, 257), four (4201)
+# and on the object path over F_121.
+@pytest.mark.parametrize("p,e,d_max", [(3, 1, None), (17, 1, None),
+                                       (257, 1, None), (4201, 1, None),
+                                       (11, 2, 11)])
+def test_power_tables_are_the_powers(p, e, d_max):
+    ctx = build_field(p, e)
+    ring = get_ring(ctx, "exact", d_max=d_max)
+    for table, count in ((ring.roots_q1, ctx.q - 1), (ring.roots_p, p)):
+        assert table.dtype == np.uint64 and len(table) == count
+        z = int(table[1])
+        assert [int(x) for x in table] == [pow(z, j, ring.ell)
+                                           for j in range(count)]
 
 
 def test_get_ring_caches_per_field(f13):
@@ -202,6 +226,67 @@ def test_sum_vec_chunks_are_exact(f13):
     assert all(int(r) == (5000 * (ring.ell - 1)) % ring.ell for r in rows)
 
 
+def test_residue_mismatches_finds_every_differing_entry(f13):
+    ring = get_ring(f13, "exact")
+    u = np.arange(12, dtype=np.uint64).reshape(3, 4)
+    bad, worst = ring.mismatches(u, u.copy())
+    assert bad.size == 0 and worst == 0.0
+    v = u.copy()
+    v[0, 1] += 1
+    v[2, 3] = ring.ell - 1
+    bad, worst = ring.mismatches(u, v)
+    assert bad.tolist() == [1, 11] and worst == 1.0
+
+
+# ---------------------------------------------------------------------------
+# Exact DFT kernel against the O(Q^2) definition
+# ---------------------------------------------------------------------------
+
+def naive_dft(ring, u):
+    """sum_i u[i]·zeta^(m·i) mod ell with Python ints, one m at a time."""
+    z = [int(x) for x in ring.roots_q1]
+    Q, ell = len(z), ring.ell
+    return [sum(int(u[i]) * z[m * i % Q] for i in range(Q)) % ell
+            for m in range(Q)]
+
+
+def check_dft(ring, seed):
+    rng = np.random.default_rng(seed)
+    Q = ring.ctx.q - 1
+    u = np.array([int(x) for x in rng.integers(0, ring.ell, Q)],
+                 dtype=np.uint64)
+    out = ring.dft_mod(u)
+    assert out.dtype == np.uint64 and out.shape == (Q,)
+    assert [int(x) for x in out] == naive_dft(ring, u)
+
+
+# Q = q - 1 is even, as fields of characteristic 2 are refused.  The chirp
+# has 2Q - 1 entries and N is the next power of two: Q = 2 (3 of N = 4),
+# 16 (31 of 32), 22 (43 of 64), 256 (511 of 512) and 262 (523 of 1024).
+@pytest.mark.parametrize("q", [3, 17, 23, 257, 263])
+def test_dft_mod_matches_naive_dft(q):
+    check_dft(get_ring(build_field(q), "exact"), seed=q)
+
+
+def test_dft_mod_rejects_a_wrong_length(f13):
+    ring = get_ring(f13, "exact")
+    with pytest.raises(ValueError):
+        ring.dft_mod(np.zeros(13, dtype=np.uint64))
+
+
+def test_ntt_constants_keep_the_arithmetic_exact():
+    # Random inputs almost never reach these bounds, so they are checked
+    # here rather than by the transforms above.
+    for m in _NTT_PRIMES:
+        # 3 is a non-residue, so 3^((m-1)/n) has order n for n | 2**23.
+        assert (m - 1) % _NTT_MAX_LEN == 0 and pow(3, (m - 1) // 2, m) == m - 1
+        assert _NTT_RADIX * (m - 1) ** 2 < 2**64   # one pass's matmul sums
+    # Three limbs cover ell < 2**63; each convolution coefficient must stay
+    # below the primes' product for Garner's CRT.
+    limbs = -(-63 // _LIMB_BITS)
+    assert limbs * _NTT_MAX_LEN * 2**(2 * _LIMB_BITS) < math.prod(_NTT_PRIMES)
+
+
 # ---------------------------------------------------------------------------
 # Gauss tables against the literal sum
 # ---------------------------------------------------------------------------
@@ -214,6 +299,26 @@ def test_gauss_array_matches_literal_sum(p, e, backend):
     for m in range(ctx.q - 1):
         expected = naive_gauss(ctx, ring, m)
         assert ring.wrap(table[m]).isclose(expected, scale=ctx.q**0.5)
+
+
+@pytest.mark.parametrize("p,e", [(3001, 1), (7, 4), (19681, 1)])
+def test_exact_gauss_table_at_large_q(p, e):
+    ctx = build_field(p, e)
+    ring = get_ring(ctx, "exact")
+    q, Q, ell = ctx.q, ctx.q - 1, ring.ell
+    table = ring.gauss_array
+    assert table.dtype == np.uint64 and not table.flags.writeable
+    zeta = [int(x) for x in ring.roots_q1]
+    theta = [int(ring.roots_p[t])
+             for t in ctx.trace_table[ctx.exp_table].tolist()]
+    rng = np.random.default_rng(q)
+    for m in [0, 1, Q // 2, Q - 1, *rng.integers(2, Q - 1, 4).tolist()]:
+        literal = sum(zeta[m * i % Q] * theta[i] for i in range(Q)) % ell
+        assert int(table[m]) == literal, m
+    # G_m·G_(-m) = q·(-1)^m for every m != 0.
+    ms = np.arange(1, Q)
+    expected = np.where(ms % 2 == 1, ell - q, q).astype(np.uint64)
+    assert np.array_equal(ring.mul_vec(table[1:], table[:0:-1]), expected)
 
 
 def test_gauss_magnitudes(f13):
@@ -254,6 +359,20 @@ def test_object_path_gauss_matches_literal(big_ring):
     table = ring.gauss_array
     for m in (0, 1, 7, 60, 119):
         assert ring.wrap(table[m]).isclose(naive_gauss(ctx, ring, m))
+
+
+def test_object_path_dft_matches_naive_dft(big_ring):
+    _, ring = big_ring
+    check_dft(ring, seed=121)
+
+
+@pytest.mark.parametrize("p,d_max,bits", [(13, 2, 10), (101, 15, 62)])
+def test_dft_mod_at_one_and_three_limbs(p, d_max, bits):
+    # The smallest and the widest moduli an explicit d_max builds here:
+    # one 25-bit limb on the uint64 path, three on the object path.
+    ring = get_ring(build_field(p), "exact", d_max=d_max)
+    assert ring.ell.bit_length() == bits
+    check_dft(ring, seed=bits)
 
 
 def test_oversized_modulus_is_rejected():
