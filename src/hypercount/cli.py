@@ -35,8 +35,6 @@ import sys
 import time
 from dataclasses import dataclass
 
-import sympy
-
 from .curvecount import (
     BRUTE_FORCE,
     CountResult,
@@ -45,8 +43,8 @@ from .curvecount import (
     count_points,
     required_congruence,
 )
-from .errors import HypercountError
-from .ffield import DEFAULT_TABLE_BUDGET, FieldCtx, build_field
+from .errors import HypercountError, TableBudgetExceeded
+from .ffield import DEFAULT_TABLE_BUDGET, FieldCtx, build_field, prime_factors
 from .oracle import (
     brute_count,
     davenport_hasse_products,
@@ -94,11 +92,18 @@ class _UsageError(Exception):
     """Input problem; maps to exit code 1."""
 
 
+def _odd_prime_of(q: int) -> int | None:
+    """The prime p if q is a power of an odd prime p, else None."""
+    factors = prime_factors(q) if q >= 3 and q % 2 else []
+    return factors[0] if len(factors) == 1 else None
+
+
 def _field_for(q: int, config: RunConfig) -> FieldCtx:
-    factors = sympy.factorint(q)
-    if q < 3 or len(factors) != 1 or 2 in factors:
+    if q >= 3 and q % 2 and q > config.table_budget:  # before factoring
+        raise TableBudgetExceeded(q, config.table_budget)
+    if (p := _odd_prime_of(q)) is None:
         raise _UsageError(f"{q} is not an odd prime power")
-    (p, e), = factors.items()
+    e = next(e for e in range(1, q) if p**e == q)
     return build_field(p, e, table_budget=config.table_budget)
 
 
@@ -205,11 +210,13 @@ def cmd_count(q: int, family: str, d: int, a: int, b: int,
 # sweep
 # ---------------------------------------------------------------------------
 
-def _odd_prime_powers(q_max: int):
+def _odd_prime_powers(q_max: int, budget: int):
+    """Odd prime powers up to q_max, ending with the first past budget."""
     for q in range(3, q_max + 1, 2):
-        factors = sympy.factorint(q)
-        if len(factors) == 1 and 2 not in factors:
+        if _odd_prime_of(q):
             yield q
+            if q > budget:
+                return
 
 
 def _sample_pairs(q: int, d: int, family: str, samples: int, seed: int):
@@ -233,9 +240,8 @@ def cmd_sweep(q_max: int, d_list: tuple[int, ...], samples: int,
             raise _UsageError(f"degrees must be >= 2, got {d}")
     rows = []
     rings = []
-    for q in _odd_prime_powers(q_max):
-        if q > config.table_budget:
-            continue
+    budget = config.table_budget
+    for q in _odd_prime_powers(min(q_max, budget), budget):
         ctx = None
         for d in d_list:
             for family in families:
@@ -292,7 +298,7 @@ def cmd_sweep(q_max: int, d_list: tuple[int, ...], samples: int,
 def _verify_field(ctx: FieldCtx, ring, seed: int) -> dict:
     q = ctx.q
     identities = list(verify_lemmas(ctx, ring))
-    for m in sorted(sympy.divisors(q - 1)):
+    for m in (d for d in range(1, q) if (q - 1) % d == 0):
         identities.append(davenport_hasse_products(ctx, m, ring))
         identities.extend(verify_davenport_hasse(ctx, m, 1, ring))
 
@@ -377,11 +383,7 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit2(message)
-
-
-class SystemExit2(Exception):
-    """Internal marker carrying a usage-error message."""
+        raise _UsageError(message)
 
 
 def _build_parser() -> _Parser:
@@ -458,12 +460,9 @@ def main(argv=None) -> int:
         if args.command == "verify":
             qs = tuple(args.q or ())
             if args.q_max is not None:
-                qs = qs + tuple(_odd_prime_powers(args.q_max))
+                qs += tuple(_odd_prime_powers(args.q_max, config.table_budget))
             return cmd_verify(qs, config)
         raise _UsageError(f"unknown command {args.command!r}")
-    except SystemExit2 as ex:
-        print(f"hypercount: error: {ex}", file=sys.stderr)
-        return EXIT_USAGE
     except (_UsageError, HypercountError, ValueError) as ex:
         print(f"hypercount: error: {ex}", file=sys.stderr)
         return EXIT_USAGE

@@ -10,7 +10,8 @@ Construction is deterministic: the modulus is the first monic irreducible
 of degree ``e`` in ascending code order (higher-degree coefficients most
 significant), and the generator is the first element in ascending code
 order whose multiplicative order is ``q - 1``.  Identical inputs therefore
-always produce identical tables.
+always produce identical tables.  The integer helpers this needs are here
+too: :func:`is_prime`, :func:`prime_factors` and :func:`least_primitive_root`.
 
 All tables are built eagerly: ``exp_table[i] = g**i``, its inverse
 ``log_table``, the F_p-valued trace of every element, and the discrete log
@@ -20,10 +21,10 @@ immutable after construction and safe to share between threads.
 
 from __future__ import annotations
 
-from functools import lru_cache
+import math
+from functools import lru_cache, reduce
 
 import numpy as np
-import sympy
 
 from .errors import (
     LogOfZero,
@@ -34,6 +35,52 @@ from .errors import (
 
 #: Default cap on q; fields larger than this refuse to build.
 DEFAULT_TABLE_BUDGET = 2**20
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def is_prime(n: int) -> bool:
+    """Miller–Rabin with the bases above: exact below 3.2·10^23, the least
+    strong pseudoprime to all twelve, so for every p and ell used here."""
+    if n < 2 or any(n % b == 0 for b in _MR_BASES):
+        return n in _MR_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1      # n - 1 = d * 2**s, d odd
+    for b in _MR_BASES:
+        x = pow(b, (n - 1) >> s, n)
+        if x != 1 and all(pow(x, 1 << i, n) != n - 1 for i in range(s)):
+            return False
+    return True
+
+
+def prime_factors(n: int) -> list[int]:
+    """Sorted distinct prime factors of n >= 1: trial division by the
+    bases above, then Pollard's rho with Brent's cycle search."""
+    found = {b for b in _MR_BASES if n % b == 0}
+    while (g := math.gcd(n, math.prod(found))) > 1:
+        n //= g
+    if is_prime(n):
+        found.add(n)
+    elif n > 1:
+        f, c = n, 0
+        while f == n:  # iterate x -> x^2 + c; a new c after a failure
+            c, y, r, f = c + 1, 2, 1, 1
+            while f == 1:  # compare with x, saved at each power of two
+                x = y
+                for _ in range(r):
+                    y = (y * y + c) % n
+                    if (f := math.gcd(x - y, n)) != 1:
+                        break
+                r *= 2
+        found.update(prime_factors(f), prime_factors(n // f))
+    return sorted(found)
+
+
+def least_primitive_root(n: int) -> int:
+    """Least generator of the unit group of Z/n for an odd prime n."""
+    factors = prime_factors(n - 1)
+    return next(g for g in range(2, n)
+                if all(pow(g, (n - 1) // r, n) != 1 for r in factors))
+
 
 # --------------------------------------------------------------------------
 # Polynomial arithmetic over F_p.  Coefficient lists are low-to-high degree
@@ -113,7 +160,7 @@ def _is_irreducible(f: list[int], p: int) -> bool:
     xq = _poly_powmod(x, p**e, f, p)
     if _poly_sub(xq, x, p):
         return False
-    for r in sympy.primefactors(e):
+    for r in prime_factors(e):
         xpr = _poly_powmod(x, p ** (e // r), f, p)
         g = _poly_gcd(f, _poly_sub(xpr, x, p), p)
         if len(g) - 1 > 0:
@@ -143,11 +190,11 @@ class FieldCtx:
     __slots__ = (
         "p", "e", "q", "modulus", "g",
         "exp_table", "log_table", "trace_table", "one_minus_log",
-        "_digits", "_pows", "__weakref__",
+        "_digits", "_pows",
     )
 
     def __init__(self, p: int, e: int, modulus: tuple[int, ...], g: int,
-                 exp_table: np.ndarray, trace_table: np.ndarray):
+                 exp_table: np.ndarray):
         self.p = p
         self.e = e
         self.q = p**e
@@ -157,15 +204,19 @@ class FieldCtx:
         log_table = np.full(self.q, -1, dtype=np.int64)
         log_table[exp_table] = np.arange(self.q - 1, dtype=np.int64)
         self.log_table = log_table
-        self.trace_table = trace_table
         if e > 1:
             pows = p ** np.arange(e, dtype=np.int64)
             codes = np.arange(self.q, dtype=np.int64)
             self._digits = (codes[:, None] // pows[None, :]) % p
             self._pows = pows
+            # tr(x^j) = sum_i (x^j)^(p^i) lies in F_p, so its code is the
+            # trace itself; the trace of any code is linear in its digits.
+            conjugates = (self.pow_elem(pows, p**i) for i in range(e))
+            self.trace_table = self._digits @ reduce(self.add, conjugates) % p
         else:
             self._digits = None
             self._pows = None
+            self.trace_table = np.arange(self.q, dtype=np.int64)
         one = self.sub(np.int64(1), exp_table)
         self.one_minus_log = log_table[one]
 
@@ -241,17 +292,9 @@ def _find_modulus(p: int, e: int) -> tuple[int, ...]:
     raise NoIrreducibleFound(p, e)
 
 
-def _find_generator_prime(p: int) -> int:
-    factors = sympy.primefactors(p - 1)
-    for cand in range(2, p):
-        if all(pow(cand, (p - 1) // r, p) != 1 for r in factors):
-            return cand
-    raise NoIrreducibleFound(p, 1)  # unreachable for prime p > 2
-
-
 def _find_generator_ext(p: int, e: int, modulus: list[int]) -> list[int]:
     q = p**e
-    factors = sympy.primefactors(q - 1)
+    factors = prime_factors(q - 1)
     for code in range(2, q):
         cand = [(code // p**i) % p for i in range(e)]
         cand = _poly_trim(cand)
@@ -269,15 +312,14 @@ def _encode(poly: list[int], p: int) -> int:
 def _build_field_cached(p: int, e: int) -> FieldCtx:
     q = p**e
     if e == 1:
-        g = _find_generator_prime(p)
+        g = least_primitive_root(p)
         modulus = ((-g) % p, 1)
         exp_table = np.empty(q - 1, dtype=np.int64)
         acc = 1
         for i in range(q - 1):
             exp_table[i] = acc
             acc = (acc * g) % p
-        trace_table = np.arange(q, dtype=np.int64)
-        return FieldCtx(p, e, modulus, g, exp_table, trace_table)
+        return FieldCtx(p, e, modulus, g, exp_table)
 
     modulus = list(_find_modulus(p, e))
     gen = _find_generator_ext(p, e, modulus)
@@ -288,29 +330,7 @@ def _build_field_cached(p: int, e: int) -> FieldCtx:
     for i in range(q - 1):
         exp_table[i] = _encode(acc, p)
         acc = _poly_mulmod(acc, gen, modulus, p)
-
-    # Trace of the basis monomials: tr(x^j) = sum_i (x^(p^i))^j.  Each
-    # summand is a genuine polynomial but the sum over i lands in F_p, so
-    # accumulate full coefficient vectors and keep the constant term.
-    acc_vecs = [[0] * e for _ in range(e)]
-    for i in range(e):
-        frob = _poly_powmod([0, 1], p**i, modulus, p)
-        cur = [1]
-        for j in range(e):
-            for k, c in enumerate(cur):
-                acc_vecs[j][k] = (acc_vecs[j][k] + c) % p
-            cur = _poly_mulmod(cur, frob, modulus, p)
-    basis_traces = [0] * e
-    for j in range(e):
-        assert all(c == 0 for c in acc_vecs[j][1:]), "trace must land in F_p"
-        basis_traces[j] = acc_vecs[j][0]
-
-    pows = p ** np.arange(e, dtype=np.int64)
-    codes = np.arange(q, dtype=np.int64)
-    digits = (codes[:, None] // pows[None, :]) % p
-    trace_table = (digits @ np.array(basis_traces, dtype=np.int64)) % p
-
-    return FieldCtx(p, e, tuple(modulus), g, exp_table, trace_table)
+    return FieldCtx(p, e, tuple(modulus), g, exp_table)
 
 
 def build_field(p: int, e: int = 1,
@@ -324,7 +344,7 @@ def build_field(p: int, e: int = 1,
     """
     if e < 1:
         raise ValueError(f"extension degree must be >= 1, got {e}")
-    if p == 2 or not sympy.isprime(p):
+    if p == 2 or not is_prime(p):
         raise NotPrime(p)
     q = p**e
     if q > table_budget:

@@ -15,11 +15,12 @@ interchangeable backends realize this ring:
   package recovers, small enough that vector products stay in uint64.
   The images of the two roots of unity are fixed powers of an element
   ``w`` of order ``p*(q-1)`` derived from the least primitive root of
-  ``ell``, so runs are reproducible.  Every rational-integer result is
-  recovered exactly from its balanced residue.  Its Gauss table is an
-  exact length-(q-1) DFT mod ell (:meth:`ResidueRing.dft_mod`): Bluestein's
-  chirp-z transform, with the convolution done by a three-prime NTT and
-  Garner's CRT, in O(q log q) time and O(q) memory.
+  ``ell`` (from :mod:`.ffield`), so runs are reproducible.  Every
+  rational-integer result is recovered exactly from its balanced residue.
+  Its Gauss table is an exact length-(q-1) DFT mod ell
+  (:meth:`ResidueRing.dft_mod`): Bluestein's chirp-z transform, with the
+  convolution done by a three-prime NTT and Garner's CRT, in O(q log q)
+  time and O(q) memory.
 
 Scalar values are wrapped in :class:`CharValue`; bulk kernels work on raw
 numpy arrays through the ring's vector helpers (``mul_vec``, ``sum_vec``,
@@ -31,11 +32,10 @@ helper, so no kernel branches on the backend.
 
 from __future__ import annotations
 
+import itertools
 import math
-import weakref
 
 import numpy as np
-import sympy
 
 from .errors import (
     ExactModulusTooLarge,
@@ -43,7 +43,7 @@ from .errors import (
     MixedFieldContexts,
     NonIntegerResult,
 )
-from .ffield import FieldCtx
+from .ffield import FieldCtx, is_prime, least_primitive_root
 
 #: Default absolute tolerance for integer-valued float results.
 DEFAULT_TOLERANCE = 1e-6
@@ -501,10 +501,8 @@ class ResidueRing:
             bound = max(_ELL_FLOOR, 8 * q * q)
         else:
             bound = 4 * q ** (math.ceil(d_max / 2) + 1)
-        k = bound // n + 1
-        while not sympy.isprime(k * n + 1):
-            k += 1
-        self.ell = k * n + 1
+        start = (bound // n + 1) * n + 1
+        self.ell = next(m for m in itertools.count(start, n) if is_prime(m))
         if d_max is None and self.ell >= _FLOAT_MULMOD_LIMIT:
             raise ExactModulusTooLarge(q, self.ell, _FLOAT_MULMOD_LIMIT)
         if self.ell >= 2**63:
@@ -512,7 +510,7 @@ class ResidueRing:
                 f"auxiliary modulus {self.ell} is too large for the exact "
                 f"backend at q={q}, d_max={d_max}; use the float backend"
             )
-        gamma = self._least_primitive_root(self.ell)
+        gamma = least_primitive_root(self.ell)
         self.w = pow(gamma, (self.ell - 1) // n, self.ell)
         w_q1 = pow(self.w, p, self.ell)       # image of zeta_{q-1}
         w_p = pow(self.w, q - 1, self.ell)    # image of zeta_p
@@ -523,14 +521,6 @@ class ResidueRing:
         self._gauss = None
         self._binom_cache: dict = {}
         self._hgf_cache: dict = {}
-
-    @staticmethod
-    def _least_primitive_root(ell: int) -> int:
-        factors = sympy.primefactors(ell - 1)
-        for cand in range(2, ell):
-            if all(pow(cand, (ell - 1) // r, ell) != 1 for r in factors):
-                return cand
-        raise RuntimeError("no primitive root found")  # unreachable
 
     def _power_tables(self, *pairs) -> list:
         """For each (base, count), the read-only table base^i mod ell for
@@ -731,7 +721,7 @@ class ResidueRing:
         return pow(self.ctx.q, k, self.ell)
 
 
-_RING_CACHE: "weakref.WeakKeyDictionary[FieldCtx, dict]" = weakref.WeakKeyDictionary()
+_RING_CACHE: dict[FieldCtx, dict] = {}
 
 
 def get_ring(ctx: FieldCtx, backend: str = "float", *,
@@ -739,6 +729,7 @@ def get_ring(ctx: FieldCtx, backend: str = "float", *,
              d_max: int | None = None):
     """Return the cached value ring of the requested backend for a field.
 
+    Rings, and the fields they hold, live until ``_RING_CACHE.clear()``.
     ``d_max`` applies to the exact backend only; leave it unset for the
     default modulus (see :class:`ResidueRing`).
     """

@@ -1,11 +1,17 @@
 """Command-line contract: exit codes, formats, determinism, schema."""
 
 import json
+import os
+import subprocess
+import sys
+import time
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import hypercount
 from hypercount import cli
 
 
@@ -54,6 +60,33 @@ def test_count_usage_error_exits_one(capsys):
     assert code == 1
     code, _, _ = run(capsys, "nonsense")
     assert code == 1
+
+
+def test_usage_error_prints_usage_then_one_error_line(capsys):
+    code, out, err = run(capsys, "count", "--q", "13", "--family", "Z",
+                         "--d", "4", "--a", "1", "--b", "1")
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert lines[0].startswith("usage: hypercount count ")
+    assert lines[-1].startswith(
+        "hypercount: error: argument --family: invalid choice")
+
+
+def test_q_past_the_budget_is_refused_before_factoring(capsys, monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"factored {n}")
+    monkeypatch.setattr(cli, "prime_factors", refuse)
+    for q in (10**30 + 1, 2201, 2187):
+        code, _, err = run(capsys, "count", "--q", str(q), "--family", "A",
+                           "--d", "4", "--a", "1", "--b", "1",
+                           "--table-budget", "50")
+        assert code == 1
+        assert err == (f"hypercount: error: field size q={q} exceeds the "
+                       f"table budget 50\n")
+    code, _, err = run(capsys, "count", "--q", str(10**30), "--family", "A",
+                       "--d", "4", "--a", "1", "--b", "1")
+    assert code == 1
+    assert err == f"hypercount: error: {10**30} is not an odd prime power\n"
 
 
 def test_count_mismatch_exits_two(capsys, monkeypatch):
@@ -221,6 +254,20 @@ def test_verify_q_max_scans_prime_powers(capsys):
     assert qs == ["q=3", "q=5", "q=7", "q=9"]
 
 
+@pytest.mark.parametrize("argv,exit_code", [
+    (("sweep", "--table-budget", "50", "--d", "4", "--samples", "1"), 0),
+    # verify stops at q = 23, the first field past the budget.
+    (("verify", "--table-budget", "20"), 1),
+])
+def test_huge_q_max_stops_at_the_table_budget(capsys, argv, exit_code):
+    small = run(capsys, *argv, "--q-max", "50")
+    start = time.perf_counter()
+    huge = run(capsys, *argv, "--q-max", str(10**12))
+    assert time.perf_counter() - start < 20
+    assert huge == small
+    assert small[0] == exit_code
+
+
 # ---------------------------------------------------------------------------
 # Configuration
 # ---------------------------------------------------------------------------
@@ -256,3 +303,27 @@ def test_run_config_validation():
         cli.RunConfig(output_format="xml")
     with pytest.raises(ValueError):
         cli.RunConfig(tolerance=0.0)
+
+
+# ---------------------------------------------------------------------------
+# Dependencies
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ("count", "--q", "73", "--family", "A", "--d", "4", "--a", "5",
+     "--b", "11", "--check"),
+    ("sweep", "--q-max", "40", "--samples", "3"),
+    ("verify", "--q", "9"),
+])
+def test_cli_runs_with_sympy_blocked(argv):
+    # sympy is a test extra only: the package must import and run without.
+    script = ("import sys\n"
+              "sys.modules['sympy'] = None\n"
+              "from hypercount import cli\n"
+              "sys.exit(cli.main(sys.argv[1:]))\n")
+    src = Path(hypercount.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout

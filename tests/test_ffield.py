@@ -5,6 +5,9 @@ field's own modulus, reimplemented inline — it exercises none of the
 log-table machinery the package uses.
 """
 
+import hashlib
+import random
+
 import numpy as np
 import pytest
 import sympy
@@ -15,8 +18,10 @@ from hypercount import (
     TableBudgetExceeded,
     build_field,
     dlog,
+    get_ring,
     trace_map,
 )
+from hypercount.ffield import is_prime, least_primitive_root, prime_factors
 
 
 def naive_mul(ctx, u, v):
@@ -167,6 +172,30 @@ def test_trace_is_additive_and_balanced(f9):
     assert set(counts.values()) == {f9.q // f9.p}
 
 
+@pytest.mark.parametrize("p,e", [(3, 2), (3, 5), (7, 3), (5, 4)])
+def test_trace_table_is_the_conjugate_sum_everywhere(p, e):
+    # tr(u) = u + u^p + ... + u^(p^(e-1)) over the whole table, where the
+    # field builds it from the basis monomials only.
+    ctx = build_field(p, e)
+    codes = np.arange(ctx.q, dtype=np.int64)
+    total = np.zeros(ctx.q, dtype=np.int64)
+    for i in range(e):
+        total = ctx.add(total, ctx.pow_elem(codes, p**i))
+    assert np.array_equal(total, ctx.trace_table)
+
+
+# Digests of the trace tables (as uint8 bytes) from the polynomial
+# Frobenius-power construction the field used to run.
+@pytest.mark.parametrize("p,e,digest", [
+    (3, 5, "330407b651a0c368cc03dd95f897fa5aed58757d820f9c196373e49e0e59e899"),
+    (7, 4, "d3eda77c5bcdecb259b1331a1e6867149357ec8b43a6b9a18019dd85e7561cc3"),
+])
+def test_trace_table_is_pinned(p, e, digest):
+    table = build_field(p, e).trace_table
+    assert table.dtype == np.int64
+    assert hashlib.sha256(table.astype(np.uint8).tobytes()).hexdigest() == digest
+
+
 def test_prime_field_trace_is_identity(f13):
     for u in f13.elements():
         assert trace_map(f13, u) == u
@@ -192,3 +221,48 @@ def test_table_budget_is_enforced():
         build_field(1009, table_budget=1000)
     with pytest.raises(TableBudgetExceeded):
         build_field(5, 9)  # 5^9 ~ 1.9M exceeds the default 2^20 budget
+
+
+# ---------------------------------------------------------------------------
+# Number theory, against sympy as the reference
+# ---------------------------------------------------------------------------
+
+# Two Carmichael numbers; the least strong pseudoprime to the bases 2, 3,
+# 5, 7; and the least one to every prime base up to 23 (also up to 31).
+PSEUDOPRIMES = (561, 41041, 3215031751, 3825123056546413051)
+
+
+def test_is_prime_matches_sympy():
+    rng = random.Random(1)
+    ns = [*range(20000), *PSEUDOPRIMES,
+          *(rng.randrange(2**63) for _ in range(1000)),
+          *(rng.randrange(2**63) | 1 for _ in range(1000))]
+    for n in ns:
+        assert is_prime(n) == sympy.isprime(n), n
+
+
+def test_is_prime_bound_is_the_least_pseudoprime_to_its_bases():
+    # The docstring's bound: composite, yet passes all twelve bases.
+    psi12 = 318665857834031151167461
+    assert is_prime(psi12) and not sympy.isprime(psi12)
+
+
+def test_prime_factors_match_sympy():
+    rng = random.Random(2)
+    semiprime = sympy.nextprime(2**31) * sympy.nextprime(2**31 + 10**6)
+    ns = [*range(1, 20000), *PSEUDOPRIMES, semiprime,
+          *(rng.randrange(1, 2**62) for _ in range(300))]
+    for n in ns:
+        assert prime_factors(n) == sympy.primefactors(n), n
+
+
+def test_least_primitive_root_matches_sympy_on_every_small_ring():
+    for q in range(3, 257, 2):
+        (p, e), *rest = sympy.factorint(q).items()
+        if rest:
+            continue
+        ctx = build_field(p, e)
+        ell = get_ring(ctx, "exact").ell
+        assert least_primitive_root(ell) == sympy.primitive_root(ell), q
+        if e == 1:
+            assert ctx.g == least_primitive_root(p) == sympy.primitive_root(p)
