@@ -60,7 +60,6 @@ from .errors import (
     HypercountError,
     LogOfZero,
     MixedFieldContexts,
-    NoIrreducibleFound,
     NonIntegerResult,
     NotPrime,
     OrderDoesNotDivide,
@@ -115,7 +114,6 @@ __all__ = [
     "LogOfZero",
     "MixedFieldContexts",
     "MultChar",
-    "NoIrreducibleFound",
     "NonIntegerResult",
     "NotPrime",
     "OrderDoesNotDivide",

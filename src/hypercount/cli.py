@@ -21,14 +21,16 @@ header ``q,d,family,a,b,n_thm,n_oracle,match,elapsed_us``), and
 output: timing columns emit 0 unless ``--timings`` is passed, and all
 sampling derives from ``--seed`` alone.
 
-The environment variable ``HYPERCOUNT_TABLE_BUDGET`` overrides the
-default table budget (still capped by ``--table-budget``).
+The environment variable ``HYPERCOUNT_TABLE_BUDGET`` replaces the
+default table budget, and ``--table-budget`` replaces the environment
+value.  Either is refused above the hard cap ``DEFAULT_TABLE_BUDGET``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
@@ -80,8 +82,8 @@ class RunConfig:
             raise ValueError(f"unknown backend {self.backend!r}")
         if self.output_format not in ("json", "csv", "text"):
             raise ValueError(f"unknown format {self.output_format!r}")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not 0 < self.tolerance < math.inf:  # NaN fails every comparison
+            raise ValueError("tolerance must be finite and positive")
         if self.table_budget > DEFAULT_TABLE_BUDGET:
             raise ValueError(
                 f"table budget {self.table_budget} exceeds the hard cap "
@@ -340,13 +342,10 @@ def cmd_verify(qs: tuple[int, ...], config: RunConfig) -> int:
     """Run identity suites on each field; exit 0 iff everything passes."""
     if not qs:
         raise _UsageError("verify needs at least one --q or a --q-max range")
-    fields = []
-    rings = []
-    for q in qs:
-        ctx = _field_for(q, config)
-        ring = _ring_for(ctx, config)
-        rings.append(ring)
-        fields.append(_verify_field(ctx, ring, config.seed))
+    ctxs = [_field_for(q, config) for q in qs]  # refuse before any work
+    rings = [_ring_for(ctx, config) for ctx in ctxs]
+    fields = [_verify_field(ctx, ring, config.seed)
+              for ctx, ring in zip(ctxs, rings)]
     failures = sum(1 for f in fields
                    for i in f["identities"] if not i["passed"])
     failures += sum(1 for f in fields

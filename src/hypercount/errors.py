@@ -21,21 +21,13 @@ class NotPrime(HypercountError):
 
 
 class TableBudgetExceeded(HypercountError):
-    """Building the field would exceed the configured table budget."""
+    """Building the field would exceed the configured table budget; ``q``
+    is the string ``"p^e"`` when e alone puts the field past it."""
 
-    def __init__(self, q: int, budget: int):
+    def __init__(self, q: int | str, budget: int):
         self.q = q
         self.budget = budget
         super().__init__(f"field size q={q} exceeds the table budget {budget}")
-
-
-class NoIrreducibleFound(HypercountError):
-    """No irreducible modulus was found; signals an internal error."""
-
-    def __init__(self, p: int, e: int):
-        self.p = p
-        self.e = e
-        super().__init__(f"no monic irreducible of degree {e} over F_{p} found")
 
 
 class LogOfZero(HypercountError):

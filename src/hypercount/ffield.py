@@ -9,9 +9,20 @@ intuition carries over.
 Construction is deterministic: the modulus is the first monic irreducible
 of degree ``e`` in ascending code order (higher-degree coefficients most
 significant), and the generator is the first element in ascending code
-order whose multiplicative order is ``q - 1``.  Identical inputs therefore
-always produce identical tables.  The integer helpers this needs are here
-too: :func:`is_prime`, :func:`prime_factors` and :func:`least_primitive_root`.
+order whose multiplicative order is ``q - 1``.  A prime field takes
+g = :func:`least_primitive_root` (p) and the modulus x - g.  Identical
+inputs therefore always produce identical tables.  The integer helpers
+this needs are here too: :func:`is_prime`, :func:`prime_factors` and
+:func:`least_primitive_root`.
+
+The construction is linear algebra over F_p: multiplication by x modulo
+the modulus f is the e x e companion matrix C of f acting on coefficient
+rows, and by an element it is sum_j c_j·C^j.  Rabin's test on powers of C
+finds the modulus, and powers of an element's matrix its order.  The
+exponent table doubles at each step: the rows of g^0, ..., g^(s-1) times
+the matrix of g^s are the rows of g^s, ..., g^(2s-1).  A prime field runs
+the same fill with [[g]], the companion matrix of x - g.  Entries are
+int64 below p, so a product entry is at most e·p^2 < 2^40 in the budget.
 
 All tables are built eagerly: ``exp_table[i] = g**i``, its inverse
 ``log_table``, the F_p-valued trace of every element, and the discrete log
@@ -23,15 +34,11 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache, reduce
+from itertools import accumulate
 
 import numpy as np
 
-from .errors import (
-    LogOfZero,
-    NoIrreducibleFound,
-    NotPrime,
-    TableBudgetExceeded,
-)
+from .errors import LogOfZero, NotPrime, TableBudgetExceeded
 
 #: Default cap on q; fields larger than this refuse to build.
 DEFAULT_TABLE_BUDGET = 2**20
@@ -83,89 +90,51 @@ def least_primitive_root(n: int) -> int:
 
 
 # --------------------------------------------------------------------------
-# Polynomial arithmetic over F_p.  Coefficient lists are low-to-high degree
-# with no trailing zeros (the zero polynomial is the empty list).
+# Linear algebra over F_p.  Elements of F_p[x]/(f) are coefficient rows,
+# low to high degree; ``row @ M % p`` multiplies by the element of M.
 # --------------------------------------------------------------------------
 
 
-def _poly_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
+def _coeffs(code: int, p: int, e: int) -> tuple[int, ...]:
+    return tuple((code // p**i) % p for i in range(e))
 
 
-def _poly_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(out)
-
-
-def _poly_mod(a: list[int], mod: list[int], p: int) -> list[int]:
-    a = list(a)
-    dm = len(mod) - 1
-    inv_lead = pow(mod[-1], -1, p)
-    while len(a) - 1 >= dm and a:
-        coef = (a[-1] * inv_lead) % p
-        shift = len(a) - 1 - dm
-        for i, mi in enumerate(mod):
-            a[shift + i] = (a[shift + i] - coef * mi) % p
-        _poly_trim(a)
-    return a
-
-
-def _poly_mulmod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int]:
-    return _poly_mod(_poly_mul(a, b, p), mod, p)
-
-
-def _poly_powmod(base: list[int], n: int, mod: list[int], p: int) -> list[int]:
-    result = [1]
-    acc = _poly_mod(list(base), mod, p)
+def _matpow(m: np.ndarray, n: int, p: int) -> np.ndarray:
+    """m**n mod p by square-and-multiply, for n >= 0."""
+    out = np.eye(len(m), dtype=np.int64)
     while n:
         if n & 1:
-            result = _poly_mulmod(result, acc, mod, p)
-        acc = _poly_mulmod(acc, acc, mod, p)
+            out = out @ m % p
+        m = m @ m % p
         n >>= 1
-    return result
+    return out
 
 
-def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _poly_mod(a, b, p)
-    return a
+def _companion(f: tuple[int, ...], p: int) -> np.ndarray:
+    """Matrix C of multiplication by x modulo the monic f: row j holds the
+    coefficients of x^(j+1) mod f, so C^n multiplies by x^n."""
+    c = np.eye(len(f) - 1, k=1, dtype=np.int64)
+    c[-1] = np.negative(f[:-1]) % p
+    return c
 
 
-def _poly_sub(a: list[int], b: list[int], p: int) -> list[int]:
-    out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = (out[i] - c) % p
-    return _poly_trim(out)
+def _is_irreducible(c: np.ndarray, p: int) -> bool:
+    """Rabin's test on the companion matrix C of a monic f of degree e.
 
-
-def _is_irreducible(f: list[int], p: int) -> bool:
-    """Test a monic degree-e polynomial for irreducibility over F_p.
-
-    Uses the standard criterion: x^(p^e) = x (mod f), and for every prime
-    divisor r of e, gcd(x^(p^(e/r)) - x, f) = 1.
+    C^(p^e) = C says x^(p^e) = x mod f: f is squarefree and its factors
+    have degrees dividing e, so F_p[x]/(f) is a product of fields whose
+    unit groups have orders dividing p^e - 1.  Then f is irreducible iff,
+    for each prime r | e, x^(p^(e/r)) - x is a unit (no factor has degree
+    dividing e/r), that is, iff its matrix raised to p^e - 1 is I.
     """
-    e = len(f) - 1
-    x = [0, 1]
-    xq = _poly_powmod(x, p**e, f, p)
-    if _poly_sub(xq, x, p):
+    e = len(c)
+    if not np.array_equal(_matpow(c, p**e, p), c):
         return False
-    for r in prime_factors(e):
-        xpr = _poly_powmod(x, p ** (e // r), f, p)
-        g = _poly_gcd(f, _poly_sub(xpr, x, p), p)
-        if len(g) - 1 > 0:
-            return False
-    return True
+    eye = np.eye(e, dtype=np.int64)
+    return all(
+        np.array_equal(_matpow((_matpow(c, p**(e // r), p) - c) % p,
+                               p**e - 1, p), eye)
+        for r in prime_factors(e))
 
 
 # --------------------------------------------------------------------------
@@ -269,7 +238,7 @@ class FieldCtx:
 
     def coeffs(self, u: int) -> tuple[int, ...]:
         """Coefficient vector (low-to-high degree) of an element code."""
-        return tuple((u // self.p**i) % self.p for i in range(self.e))
+        return _coeffs(u, self.p, self.e)
 
     def elements(self) -> range:
         return range(self.q)
@@ -285,52 +254,53 @@ class FieldCtx:
 
 def _find_modulus(p: int, e: int) -> tuple[int, ...]:
     """First monic irreducible of degree e in ascending code order."""
-    for code in range(p**e):
-        f = [(code // p**i) % p for i in range(e)] + [1]
-        if _is_irreducible(f, p):
-            return tuple(f)
-    raise NoIrreducibleFound(p, e)
+    monic = ((*_coeffs(code, p, e), 1) for code in range(p**e))
+    return next(f for f in monic if _is_irreducible(_companion(f, p), p))
 
 
-def _find_generator_ext(p: int, e: int, modulus: list[int]) -> list[int]:
+def _exp_table(m: np.ndarray, q: int, p: int) -> np.ndarray:
+    """Codes of g^0, ..., g^(q-2), where m multiplies by g.
+
+    Row i of ``rows`` holds the coefficients of g^i; the first s rows
+    times m^s give the next s, so the table doubles at every step.
+    """
+    e = len(m)
+    rows = np.zeros((q - 1, e), dtype=np.int64)
+    rows[0, 0] = 1
+    s = 1
+    while s < q - 1:
+        n = min(s, q - 1 - s)
+        rows[s:s + n] = rows[:n] @ m % p
+        m = m @ m % p
+        s += n
+    return rows @ p ** np.arange(e, dtype=np.int64)
+
+
+def _find_generator(p: int, e: int, c: np.ndarray) -> tuple[int, np.ndarray]:
+    """Least code of order p^e - 1 in F_p[x]/(f), where C is the companion
+    matrix of f, and its multiplication matrix sum_j c_j·C^j."""
     q = p**e
+    eye = np.eye(e, dtype=np.int64)
+    powers = list(accumulate([c] * (e - 1), lambda a, b: a @ b % p,
+                             initial=eye))
     factors = prime_factors(q - 1)
     for code in range(2, q):
-        cand = [(code // p**i) % p for i in range(e)]
-        cand = _poly_trim(cand)
-        if all(_poly_powmod(cand, (q - 1) // r, modulus, p) != [1]
-               for r in factors):
-            return cand
-    raise NoIrreducibleFound(p, e)  # unreachable
-
-
-def _encode(poly: list[int], p: int) -> int:
-    return sum(c * p**i for i, c in enumerate(poly))
+        m = np.tensordot(_coeffs(code, p, e), powers, 1) % p
+        if not any(np.array_equal(_matpow(m, (q - 1) // r, p), eye)
+                   for r in factors):
+            return code, m
 
 
 @lru_cache(maxsize=None)
 def _build_field_cached(p: int, e: int) -> FieldCtx:
-    q = p**e
     if e == 1:
         g = least_primitive_root(p)
         modulus = ((-g) % p, 1)
-        exp_table = np.empty(q - 1, dtype=np.int64)
-        acc = 1
-        for i in range(q - 1):
-            exp_table[i] = acc
-            acc = (acc * g) % p
-        return FieldCtx(p, e, modulus, g, exp_table)
-
-    modulus = list(_find_modulus(p, e))
-    gen = _find_generator_ext(p, e, modulus)
-    g = _encode(gen, p)
-
-    exp_table = np.empty(q - 1, dtype=np.int64)
-    acc = [1]
-    for i in range(q - 1):
-        exp_table[i] = _encode(acc, p)
-        acc = _poly_mulmod(acc, gen, modulus, p)
-    return FieldCtx(p, e, tuple(modulus), g, exp_table)
+        m = _companion(modulus, p)  # [[g]]: x is g modulo x - g
+    else:
+        modulus = _find_modulus(p, e)
+        g, m = _find_generator(p, e, _companion(modulus, p))
+    return FieldCtx(p, e, modulus, g, _exp_table(m, p**e, p))
 
 
 def build_field(p: int, e: int = 1,
@@ -346,9 +316,10 @@ def build_field(p: int, e: int = 1,
         raise ValueError(f"extension degree must be >= 1, got {e}")
     if p == 2 or not is_prime(p):
         raise NotPrime(p)
-    q = p**e
-    if q > table_budget:
-        raise TableBudgetExceeded(q, table_budget)
+    if e > table_budget.bit_length():  # p**e >= 3**e > table_budget
+        raise TableBudgetExceeded(f"{p}^{e}", table_budget)
+    if p**e > table_budget:
+        raise TableBudgetExceeded(p**e, table_budget)
     return _build_field_cached(p, e)
 
 

@@ -164,8 +164,8 @@ class ComplexRing:
     backend = "float"
 
     def __init__(self, ctx: FieldCtx, tolerance: float = DEFAULT_TOLERANCE):
-        if tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not 0 < tolerance < math.inf:  # NaN fails every comparison
+            raise ValueError("tolerance must be finite and positive")
         self.ctx = ctx
         self.tolerance = tolerance
         q = ctx.q

@@ -1,6 +1,7 @@
 """Command-line contract: exit codes, formats, determinism, schema."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -268,6 +269,17 @@ def test_huge_q_max_stops_at_the_table_budget(capsys, argv, exit_code):
     assert small[0] == exit_code
 
 
+def test_verify_refuses_past_the_budget_before_verifying(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("verified a field")
+    monkeypatch.setattr(cli, "verify_lemmas", refuse)
+    code, out, err = run(capsys, "verify", "--q-max", "300",
+                         "--table-budget", "270")
+    assert (code, out) == (1, "")
+    assert err == ("hypercount: error: field size q=271 exceeds the "
+                   "table budget 270\n")
+
+
 # ---------------------------------------------------------------------------
 # Configuration
 # ---------------------------------------------------------------------------
@@ -301,8 +313,23 @@ def test_run_config_validation():
         cli.RunConfig(backend="quantum")
     with pytest.raises(ValueError):
         cli.RunConfig(output_format="xml")
-    with pytest.raises(ValueError):
-        cli.RunConfig(tolerance=0.0)
+    for tolerance in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            cli.RunConfig(tolerance=tolerance)
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf"])
+@pytest.mark.parametrize("argv", [
+    ("count", "--q", "73", "--family", "A", "--d", "4", "--a", "5",
+     "--b", "11", "--check"),
+    ("verify", "--q", "9"),
+])
+def test_non_finite_tolerance_is_refused(capsys, argv, tolerance):
+    code, out, err = run(capsys, *argv, "--backend", "float",
+                         "--tolerance", tolerance)
+    assert (code, out) == (1, "")
+    assert err == ("hypercount: error: tolerance must be finite and "
+                   "positive\n")
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ log-table machinery the package uses.
 
 import hashlib
 import random
+import time
 
 import numpy as np
 import pytest
@@ -73,11 +74,104 @@ def test_rebuild_is_identical():
     assert a.modulus == (2, 0, 1)
 
 
+# (p, e, modulus, g, first 16 hex digits of the sha256 of exp_table as
+# little-endian int64), from the polynomial construction the field used
+# to run: every odd prime power below 257, then four larger extensions.
+PINNED_FIELDS = [
+    (3, 1, (1, 1), 2, "0c730b69905c5ef7"),
+    (5, 1, (3, 1), 2, "92ebfe56a187e071"),
+    (7, 1, (4, 1), 3, "b731ea0a2c721d83"),
+    (3, 2, (1, 0, 1), 4, "107beef16789fe21"),
+    (11, 1, (9, 1), 2, "e8247f1507e27d11"),
+    (13, 1, (11, 1), 2, "ca9c8cdd04b2e88a"),
+    (17, 1, (14, 1), 3, "e476e6863df6b11b"),
+    (19, 1, (17, 1), 2, "2b4b78ab4bf54424"),
+    (23, 1, (18, 1), 5, "c226474ceb41c805"),
+    (5, 2, (2, 0, 1), 6, "f819a08972b8bf0f"),
+    (3, 3, (1, 2, 0, 1), 3, "94de5a129fc907c9"),
+    (29, 1, (27, 1), 2, "f47cf404e60d14a9"),
+    (31, 1, (28, 1), 3, "6886e5b4177e7e1e"),
+    (37, 1, (35, 1), 2, "8fb7ed40200796fd"),
+    (41, 1, (35, 1), 6, "02fe2bc43d52518f"),
+    (43, 1, (40, 1), 3, "c1d192ebfb2e1ecb"),
+    (47, 1, (42, 1), 5, "71a2a63c3414113c"),
+    (7, 2, (1, 0, 1), 9, "bfbb44080945d046"),
+    (53, 1, (51, 1), 2, "95694a96309aff66"),
+    (59, 1, (57, 1), 2, "ec02b0bbc2ff42ed"),
+    (61, 1, (59, 1), 2, "5b97c7e6eeee4291"),
+    (67, 1, (65, 1), 2, "d84b6d69d48729a7"),
+    (71, 1, (64, 1), 7, "390c8132236782e9"),
+    (73, 1, (68, 1), 5, "9f7aa7c358053bab"),
+    (79, 1, (76, 1), 3, "2777025543e2dced"),
+    (3, 4, (2, 1, 0, 0, 1), 3, "6d1eb4f77b46bca3"),
+    (83, 1, (81, 1), 2, "2c557dab6fc177c0"),
+    (89, 1, (86, 1), 3, "d4da13e028ffd182"),
+    (97, 1, (92, 1), 5, "63d3ef8e46d679c2"),
+    (101, 1, (99, 1), 2, "3a4c98105d34ce02"),
+    (103, 1, (98, 1), 5, "76992d37527cccd9"),
+    (107, 1, (105, 1), 2, "42656dc59560843b"),
+    (109, 1, (103, 1), 6, "ce327448ec5c9b91"),
+    (113, 1, (110, 1), 3, "02a48443978605e9"),
+    (11, 2, (1, 0, 1), 15, "43e329be59e51cd3"),
+    (5, 3, (1, 1, 0, 1), 9, "3cd23adf3501f4d1"),
+    (127, 1, (124, 1), 3, "710764230b425eb0"),
+    (131, 1, (129, 1), 2, "bbbbe657b1aca6c9"),
+    (137, 1, (134, 1), 3, "8087fa342ce3f311"),
+    (139, 1, (137, 1), 2, "e030a80a8e0827e7"),
+    (149, 1, (147, 1), 2, "9777e79dd308a781"),
+    (151, 1, (145, 1), 6, "1b8fad1d51bd5a07"),
+    (157, 1, (152, 1), 5, "e389446e66323ca9"),
+    (163, 1, (161, 1), 2, "008b6131bf955d1e"),
+    (167, 1, (162, 1), 5, "e055285408c8ab52"),
+    (13, 2, (2, 0, 1), 15, "4db08ae6778e608d"),
+    (173, 1, (171, 1), 2, "cedb3aafc6a47d7b"),
+    (179, 1, (177, 1), 2, "16488d858ab7c571"),
+    (181, 1, (179, 1), 2, "bc2a1e33cac20fe6"),
+    (191, 1, (172, 1), 19, "0f25c6a9a2679de2"),
+    (193, 1, (188, 1), 5, "97b2615b42d8de35"),
+    (197, 1, (195, 1), 2, "0d03cef86c54ecc2"),
+    (199, 1, (196, 1), 3, "511abd83ae0e3649"),
+    (211, 1, (209, 1), 2, "52ef89066d10a6e8"),
+    (223, 1, (220, 1), 3, "778b1c5dbe2e4220"),
+    (227, 1, (225, 1), 2, "4eeef1cd0af61321"),
+    (229, 1, (223, 1), 6, "d4f689f0597abfb0"),
+    (233, 1, (230, 1), 3, "1c9816b82bd0c09c"),
+    (239, 1, (232, 1), 7, "cf4f5e26c47cd77b"),
+    (241, 1, (234, 1), 7, "fd10947e2794b422"),
+    (3, 5, (1, 2, 0, 0, 0, 1), 3, "e9772cc891777b15"),
+    (251, 1, (245, 1), 6, "5c28685a000db2b9"),
+    (7, 4, (1, 1, 0, 0, 1), 12, "b76386e260d301b0"),
+    (13, 3, (2, 0, 0, 1), 15, "63222d54f1b02488"),
+    (11, 4, (2, 1, 0, 0, 1), 11, "e72fb601fe79de28"),
+    (17, 4, (3, 0, 0, 0, 1), 307, "add6852a5f9860fc"),
+]
+
+
+@pytest.mark.parametrize("p,e,modulus,g,digest", PINNED_FIELDS)
+def test_construction_is_pinned(p, e, modulus, g, digest):
+    ctx = build_field(p, e)
+    assert (ctx.modulus, ctx.g) == (modulus, g)
+    table = ctx.exp_table.astype("<i8").tobytes()
+    assert hashlib.sha256(table).hexdigest()[:16] == digest
+
+
+def test_extension_modulus_is_the_first_irreducible_in_code_order():
+    x = sympy.symbols("x")
+    for p, e, modulus, *_ in PINNED_FIELDS:
+        if e == 1 or p**e >= 257:
+            continue
+        first = next(code for code in range(p**e) if sympy.Poly(
+            [1, *(code // p**i % p for i in reversed(range(e)))], x,
+            modulus=p).is_irreducible)
+        assert modulus == (*(first // p**i % p for i in range(e)), 1)
+
+
 # ---------------------------------------------------------------------------
 # Arithmetic against the naive polynomial reference
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("p,e", [(3, 2), (5, 2), (3, 3), (13, 1)])
+@pytest.mark.parametrize("p,e", [(3, 2), (5, 2), (3, 3), (3, 4), (7, 2),
+                                 (13, 1)])
 def test_mul_matches_naive_polynomial_arithmetic(p, e):
     ctx = build_field(p, e)
     for u in ctx.elements():
@@ -221,6 +315,13 @@ def test_table_budget_is_enforced():
         build_field(1009, table_budget=1000)
     with pytest.raises(TableBudgetExceeded):
         build_field(5, 9)  # 5^9 ~ 1.9M exceeds the default 2^20 budget
+
+
+def test_huge_extension_degree_is_refused_before_computing_q():
+    start = time.perf_counter()
+    with pytest.raises(TableBudgetExceeded, match=r"q=3\^1000000 exceeds"):
+        build_field(3, 10**6)
+    assert time.perf_counter() - start < 0.5
 
 
 # ---------------------------------------------------------------------------

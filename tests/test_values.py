@@ -31,6 +31,7 @@ from hypercount.values import (
     _NTT_MAX_LEN,
     _NTT_PRIMES,
     _NTT_RADIX,
+    _RING_CACHE,
 )
 
 
@@ -136,6 +137,16 @@ def test_get_ring_caches_per_field(f13):
     assert get_ring(f13, "float", tolerance=1e-9) is not get_ring(f13, "float")
     with pytest.raises(ValueError):
         get_ring(f13, "symbolic")
+
+
+@pytest.mark.parametrize("tolerance", [math.nan, math.inf])
+def test_get_ring_refuses_a_tolerance_that_checks_nothing(f13, tolerance):
+    # NaN compares false with every residual, and never equals a cache key.
+    cached = dict(_RING_CACHE.get(f13, {}))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="finite and positive"):
+            get_ring(f13, "float", tolerance=tolerance)
+    assert _RING_CACHE.get(f13, {}) == cached
 
 
 # ---------------------------------------------------------------------------
