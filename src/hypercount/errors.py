@@ -8,6 +8,14 @@ at an API boundary.
 from __future__ import annotations
 
 
+def format_int(n: int) -> str:
+    """n in decimal, or only its bit length when it is wider than 256 bits
+    (78 digits): Python refuses to print integers of more than 4300 digits,
+    and a message should stay one line."""
+    bits = n.bit_length()
+    return str(n) if bits <= 256 else f"<{bits}-bit integer>"
+
+
 class HypercountError(Exception):
     """Base class for all errors raised by this package."""
 
@@ -17,7 +25,7 @@ class NotPrime(HypercountError):
 
     def __init__(self, p: int):
         self.p = p
-        super().__init__(f"{p} is not an odd prime")
+        super().__init__(f"{format_int(p)} is not an odd prime")
 
 
 class TableBudgetExceeded(HypercountError):
@@ -27,7 +35,9 @@ class TableBudgetExceeded(HypercountError):
     def __init__(self, q: int | str, budget: int):
         self.q = q
         self.budget = budget
-        super().__init__(f"field size q={q} exceeds the table budget {budget}")
+        shown = format_int(q) if isinstance(q, int) else q
+        super().__init__(f"field size q={shown} exceeds the table budget "
+                         f"{format_int(budget)}")
 
 
 class LogOfZero(HypercountError):

@@ -38,7 +38,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import LogOfZero, NotPrime, TableBudgetExceeded
+from .errors import LogOfZero, NotPrime, TableBudgetExceeded, format_int
 
 #: Default cap on q; fields larger than this refuse to build.
 DEFAULT_TABLE_BUDGET = 2**20
@@ -317,7 +317,8 @@ def build_field(p: int, e: int = 1,
     if p == 2 or not is_prime(p):
         raise NotPrime(p)
     if e > table_budget.bit_length():  # p**e >= 3**e > table_budget
-        raise TableBudgetExceeded(f"{p}^{e}", table_budget)
+        raise TableBudgetExceeded(f"{format_int(p)}^{format_int(e)}",
+                                  table_budget)
     if p**e > table_budget:
         raise TableBudgetExceeded(p**e, table_budget)
     return _build_field_cached(p, e)

@@ -7,10 +7,16 @@ Everything the closed-form counts are tested against lives here:
 * :func:`verify_lemmas` — exhaustive checks of the four character-sum
   lemmas the closed forms rest on (Gauss-sum reflection, the
   Gauss/Jacobi product identity, orthogonality in both directions, and
-  the additive character's expansion through Gauss sums).
+  the additive character's expansion through Gauss sums).  Three of them
+  share one pass over row blocks of the character table; every Jacobi
+  sum is its defining sum, taken a block of rows at a time as a
+  ``ring.matmul``.
 * :func:`verify_davenport_hasse` — the Davenport–Hasse product relation
   plus its specialization to products of Gauss sums along arithmetic
-  progressions of indices.
+  progressions of indices; :func:`davenport_hasse_products` checks the
+  relation for every psi at once.  Each product of m Gauss factors is
+  one (m, q-1) gather multiplied down in pairs, ceil(log2 m) ``mul_vec``
+  calls.
 * :func:`decompose_theta_sum` — the q·N = q² + (sum over z) + (sum over
   y,z) + (sum over x,z) + (sum over x,y,z) decomposition obtained by
   counting curve points with additive characters, each term computed by
@@ -32,6 +38,10 @@ from .curvecount import CurveParams
 from .errors import CongruenceViolated
 from .ffield import FieldCtx, dlog
 from .values import CharValue, get_ring
+
+#: Entries of an O(q²) table that a verifier builds at once: tables of q²
+#: entries are built and checked in blocks of about this many.
+_BLOCK = 2**12
 
 
 @dataclass(frozen=True)
@@ -122,7 +132,8 @@ def theta_scaled_sum(ctx: FieldCtx, u: int, ring=None) -> CharValue:
 
 
 def _theta_zsum_table(ctx: FieldCtx, ring) -> np.ndarray:
-    """Payloads of theta_scaled_sum(u) for every u, in one O(q²) pass.
+    """Payloads of theta_scaled_sum(u) for every u, in one O(q²) pass over
+    blocks of about ``_BLOCK`` products.
 
     Cached on the ring: the table depends only on the field and backend,
     and decomposition checks reuse it across many curves.
@@ -131,8 +142,11 @@ def _theta_zsum_table(ctx: FieldCtx, ring) -> np.ndarray:
     if tab is None:
         us = np.arange(ctx.q, dtype=np.int64)
         zs = np.arange(1, ctx.q, dtype=np.int64)
-        prods = ctx.mul(us[:, None], zs[None, :])
-        tab = ring.sum_rows(ring.theta_root_vec(ctx.trace_table[prods]))
+        rows = max(1, _BLOCK // ctx.q)
+        tab = np.concatenate([
+            ring.sum_rows(ring.theta_root_vec(
+                ctx.trace_table[ctx.mul(us[lo:lo + rows, None], zs)]))
+            for lo in range(0, ctx.q, rows)])
         tab.setflags(write=False)
         ring._zsum_table = tab
     return tab
@@ -155,6 +169,18 @@ def _compare(ring, lhs, rhs, label_of, scale=1.0):
     return int(bad.size), worst, first
 
 
+def _product_down(ring, factors):
+    """Product of the rows of ``factors`` (down axis 0), multiplied in
+    pairs: ceil(log2 m) ``mul_vec`` calls for m rows."""
+    while len(factors) > 1:
+        half = len(factors) // 2
+        paired = ring.mul_vec(factors[:half], factors[half:2 * half])
+        if len(factors) % 2:
+            paired = np.concatenate([paired, factors[-1:]])
+        factors = paired
+    return factors[0]
+
+
 def _merge(identity, chunks):
     """Combine per-chunk (cases, mismatches, worst, first) accumulations."""
     cases = sum(c[0] for c in chunks)
@@ -175,52 +201,71 @@ def verify_lemmas(ctx: FieldCtx, ring=None) -> list[IdentityReport]:
                         T^k nontrivial.
     gauss_to_jacobi:    G(T^m)·G(T^-n) = J(T^m, T^-n)·G(T^(m-n)) for all
                         m, n with T^(m-n) nontrivial, J computed by its
-                        defining sum.
+                        defining sum over x != 0, 1.
     orthogonality:      sum over x of T^k(x) vanishes unless k = 0, and
                         sum over k of T^k(x) vanishes unless x = 1.
     theta_from_gauss:   theta(a) = (1/(q-1))·sum_m G(T^-m)·T^m(a) for
                         every nonzero a.
+
+    One pass over row blocks of the character table chars[k, i] = T^k(g^i),
+    about ``_BLOCK`` entries each (or 1/16 of the table, if more), serves
+    the last three: each block is built once, and the whole table never
+    is.  The Jacobi sums are still their defining sums, taken for a block
+    of m and every n at once as the matrix product of chars with
+    terms[i, n] = T^-n(1 - g^i): no transform, so the check shares no
+    kernel with the Gauss table.  Mismatches are reported m-major, n
+    ascending.
     """
     ring = get_ring(ctx, "exact") if ring is None else ring
     Q = ctx.q - 1
     G = ring.gauss_array
     roots = ring.roots_q1
+    ks = np.arange(Q, dtype=np.int64)
+    neg = (Q - ks) % Q
     reports = []
 
     # Gauss-sum reflection.
-    ks = np.arange(1, Q, dtype=np.int64)
-    lhs = ring.mul_vec(G[ks], G[Q - ks])
-    rhs = ring.rational_vec(np.where(ks % 2 == 1, -ctx.q, ctx.q))
+    nz = ks[1:]
+    lhs = ring.mul_vec(G[nz], G[Q - nz])
+    rhs = ring.rational_vec(np.where(nz % 2 == 1, -ctx.q, ctx.q))
     reports.append(_merge(
         "gauss_reflection",
-        [(len(ks), *_compare(ring, lhs, rhs, lambda i: int(ks[i]),
+        [(len(nz), *_compare(ring, lhs, rhs, lambda i: int(nz[i]),
                              scale=float(ctx.q)))]))
 
-    # Gauss product to Jacobi sum, J by its defining sum over x != 0, 1.
-    iv = np.arange(1, Q, dtype=np.int64)
-    oml = ctx.one_minus_log[iv].astype(np.int64)
-    ns = np.arange(Q, dtype=np.int64)
-    neg_ns = (Q - ns) % Q
-    chunks = []
-    for m in range(Q):
-        exps = (m * iv[None, :] + neg_ns[:, None] * oml[None, :]) % Q
-        jac = ring.sum_rows(roots[exps])
-        lhs = ring.mul_vec(G[m], G[neg_ns])
-        rhs = ring.mul_vec(jac, G[(m - ns) % Q])
-        kept = ns[ns != m]
-        chunks.append((len(kept),
-                       *_compare(ring, lhs[kept], rhs[kept],
-                                 lambda i, m=m, kept=kept: (m, int(kept[i])),
+    # At least Q/16 rows a block, so that an exact product's limb split of
+    # terms serves many rows once q is large.
+    rows = max(1, _BLOCK // Q, Q // 16)
+    terms = np.empty((Q, Q), dtype=roots.dtype)
+    for lo in range(0, Q, rows):
+        oml = ctx.one_minus_log[lo:lo + rows, None]
+        terms[lo:lo + rows] = roots[oml * neg % Q]
+    terms[0] = 0                 # x = 1, where 1 - x = 0
+    jacobi, by_char, col_sums, theta = [], [], [], []
+    for lo in range(0, Q, rows):
+        ms = ks[lo:lo + rows, None]
+        chars = roots[ms * ks % Q]
+        # Gauss product to Jacobi sum, for these m and every n != m.
+        jac = ring.matmul(chars, terms)
+        lhs = ring.mul_vec(G[ms], G[neg])
+        rhs = ring.mul_vec(jac, G[(ms - ks) % Q])
+        keep = ms != ks
+        mi, ni = np.nonzero(keep)
+        jacobi.append((len(mi),
+                       *_compare(ring, lhs[keep], rhs[keep],
+                                 lambda i: (lo + int(mi[i]), int(ni[i])),
                                  scale=float(ctx.q) ** 1.5)))
-    reports.append(_merge("gauss_to_jacobi", chunks))
+        # Orthogonality sums over x = g^i (rows) and, in part, over k.
+        by_char.append(ring.sum_rows(chars))
+        col_sums.append(ring.sum_rows(chars.T))
+        # Additive character from Gauss sums: chars is symmetric, so its
+        # row r also lists T^k(g^r) over every k.
+        theta.append(ring.matmul(chars, G[neg]))
+    reports.append(_merge("gauss_to_jacobi", jacobi))
 
-    # Orthogonality, both directions, from the full character table.
-    ks = np.arange(Q, dtype=np.int64)
-    prod_exps = (ks[:, None] * ks[None, :]) % Q   # entry (k, i) = k*i mod Q
-    table = roots[prod_exps]
     expect = ring.rational_vec(np.where(ks == 0, Q, 0))
-    by_char = ring.sum_rows(table)          # fixed k, summed over x = g^i
-    by_elem = ring.sum_rows(table.T)        # fixed x = g^i, summed over k
+    by_char = np.concatenate(by_char)
+    by_elem = ring.sum_rows(np.stack(col_sums, axis=1))
     reports.append(_merge("orthogonality", [
         (Q, *_compare(ring, by_char, expect, lambda i: ("char", i),
                       scale=float(Q))),
@@ -228,10 +273,8 @@ def verify_lemmas(ctx: FieldCtx, ring=None) -> list[IdentityReport]:
                       scale=float(Q))),
     ]))
 
-    # Additive character recovered from Gauss sums.
     lhs = ring.theta_root_vec(ctx.trace_table[ctx.exp_table])
-    terms = ring.mul_vec(roots[prod_exps], G[(Q - ks) % Q][None, :])
-    rhs = ring.scale(ring.sum_rows(terms), 1, Q)
+    rhs = ring.scale(np.concatenate(theta), 1, Q)
     reports.append(_merge(
         "theta_from_gauss",
         [(Q, *_compare(ring, lhs, rhs, lambda i: int(ctx.exp_table[i])))]))
@@ -272,16 +315,13 @@ def verify_davenport_hasse(ctx: FieldCtx, m: int, psi_index: int,
     ring = get_ring(ctx, "exact") if ring is None else ring
     G, unit = ring.unit_gauss()
     roots = ring.roots_q1
-    step = Q // m
     psi_index %= Q
     reports = []
 
     # Product relation at this (m, psi).
-    lhs = ring.one()
-    rhs = ring.one()
-    for j in range(m):
-        lhs = lhs * ring.wrap(G[(j * step + psi_index) % Q])
-        rhs = rhs * ring.wrap(G[j * step])
+    js = np.arange(m, dtype=np.int64) * (Q // m)
+    lhs = ring.wrap(_product_down(ring, G[(js + psi_index) % Q]))
+    rhs = ring.wrap(_product_down(ring, G[js]))
     m_inv_pow = ctx.pow_elem(ctx.inv(ctx.from_int(m)), m)
     twist = ring.root_unity(psi_index * dlog(ctx, m_inv_pow))
     # The right side has m + 1 Gauss factors to the left side's m.
@@ -311,11 +351,9 @@ def verify_davenport_hasse(ctx: FieldCtx, m: int, psi_index: int,
     rhs_vec = ring.mul_vec(base, scalar.payload)
     chunks = []
     for t in (1, -1):
-        lhs_vec = G[ls]
-        for j in range(1, m):
-            lhs_vec = ring.mul_vec(lhs_vec, G[(ls + j * t * step) % Q])
+        lhs_vec = _product_down(ring, G[(ls + t * js[:, None]) % Q])
         chunks.append((Q, *_compare(ring, lhs_vec, rhs_vec,
-                                    lambda i, t=t: (i, t))))
+                                    lambda i: (i, t))))
     reports.append(_merge("gauss_product_progression", chunks))
     return reports
 
@@ -340,17 +378,11 @@ def davenport_hasse_products(ctx: FieldCtx, m: int,
         raise CongruenceViolated(ctx.q, m)
     ring = get_ring(ctx, "exact") if ring is None else ring
     G, unit = ring.unit_gauss()
-    step = Q // m
+    js = np.arange(m, dtype=np.int64) * (Q // m)
     psis = np.arange(Q, dtype=np.int64)
 
-    lhs = G[psis]
-    for j in range(1, m):
-        lhs = ring.mul_vec(lhs, G[(psis + j * step) % Q])
-
-    const = ring.one()
-    for j in range(m):
-        const = const * ring.wrap(G[j * step])
-    const = -const
+    lhs = _product_down(ring, G[(psis + js[:, None]) % Q])
+    const = -ring.wrap(_product_down(ring, G[js]))
     k1 = dlog(ctx, ctx.pow_elem(ctx.inv(ctx.from_int(m)), m))
     rhs = ring.mul_vec(G[(m * psis) % Q], ring.roots_q1[(k1 * psis) % Q])
     # The right side has m + 1 Gauss factors to the left side's m.
@@ -387,7 +419,12 @@ def decompose_theta_sum(ctx: FieldCtx, curve: CurveParams,
     z_sum = ring.wrap(ztab[curve.b])
     yz_sum = ring.wrap(ring.sum_vec(ztab[ctx.sub(curve.b, squares)]))
     xz_sum = ring.wrap(ring.sum_vec(ztab[fx[1:]]))
-    diff = ctx.sub(fx[1:][:, None], squares[None, :])
+    # Codes of f(x) - y² in row blocks: on F_{p^e} each subtraction holds
+    # e digits.  The sum itself still runs over the whole table.
+    diff = np.empty((q - 1, q - 1), dtype=np.int64)
+    rows = max(1, _BLOCK // q)
+    for lo in range(0, q - 1, rows):
+        diff[lo:lo + rows] = ctx.sub(fx[1 + lo:1 + lo + rows, None], squares)
     xyz_sum = ring.wrap(ring.sum_vec(ztab[diff]))
 
     total = (q * q) + z_sum + yz_sum + xz_sum + xyz_sum

@@ -24,7 +24,7 @@ interchangeable backends realize this ring:
 
 Scalar values are wrapped in :class:`CharValue`; bulk kernels work on raw
 numpy arrays through the ring's vector helpers (``mul_vec``, ``sum_vec``,
-``sum_rows``, ``root_unity_vec``, ``rational_vec``, ``scale``,
+``sum_rows``, ``matmul``, ``root_unity_vec``, ``rational_vec``, ``scale``,
 ``negate_where``, ``mismatches``, ``unit_gauss``, ``q_pow_unit``) to keep
 hot loops free of per-element wrappers.  Both rings implement every
 helper, so no kernel branches on the backend.
@@ -80,6 +80,16 @@ _LIMB_BITS = 25
 
 #: Most uint64 entries :meth:`ResidueRing.dft_mod` recombines in one chunk.
 _GARNER_CHUNK = 2**18
+
+#: :meth:`ResidueRing.matmul` splits residues into limbs of this many bits
+#: and sums at most ``_MATMUL_INNER`` limb products in float64 at once:
+#: 2**11 · (2**21)² = 2**53, so every partial sum is an exact integer.
+_MATMUL_LIMB_BITS = 21
+_MATMUL_INNER = 2**11
+
+#: Most float64 limb entries of the right operand split at once by
+#: :meth:`ResidueRing.matmul`.
+_MATMUL_BLOCK = 2**16
 
 
 class CharValue:
@@ -244,6 +254,10 @@ class ComplexRing:
     def sum_rows(self, mat) -> np.ndarray:
         """Per-row sums of a 2-D payload matrix."""
         return np.sum(mat, axis=1)
+
+    def matmul(self, a, b) -> np.ndarray:
+        """Matrix product of payload arrays (b may be a vector)."""
+        return np.matmul(a, b)
 
     def rational_vec(self, nums, den: int = 1) -> np.ndarray:
         """Payloads of the rationals nums/den (nums an integer array)."""
@@ -486,6 +500,16 @@ class ResidueRing:
     products of one prime, the chirp and the (3, 2L - 1, Q) uint32 window
     of results.  The table at q = 1048573 raises peak RSS by about 200 MB
     over the field and ring.
+
+    :meth:`matmul` is exact the same way.  Residues are split into
+    L' = ceil(bits(ell)/21) limbs below 2**21 (two for the default ell
+    while it has at most 42 bits, three up to 2**63), and the L'² limb
+    products run as float64 BLAS products over inner blocks of at most
+    2**11 terms.  Each partial sum is then below 2**11·(2**21)² = 2**53, so
+    float64 holds it exactly.  It is reduced mod ell, the products of limbs
+    i and j with equal i + j are added, and ``mul_vec`` folds those sums
+    back with the powers 2**(21(i + j)) mod ell.  Each operand is split
+    into limbs once per call, the right one in column blocks.
     """
 
     backend = "exact"
@@ -629,6 +653,58 @@ class ResidueRing:
             out = (out + np.sum(mat[:, start:start + 4096], axis=1,
                                 dtype=np.uint64)) % ell
         return out
+
+    def matmul(self, a, b) -> np.ndarray:
+        """Exact matrix product mod ell of residue arrays: a is (M, K) and
+        b is (K, N) or a length-K vector.
+
+        Limb products run as float64 BLAS products over inner blocks of
+        ``_MATMUL_INNER``; see the class docstring for why they are exact.
+        b is split into limbs in column blocks of about ``_MATMUL_BLOCK``
+        entries; the temporaries of a block hold about (1 + limbs·M/K) times
+        that many floats.
+        """
+        a = np.asarray(a, dtype=np.uint64)
+        b = np.asarray(b, dtype=np.uint64)
+        vec = b.ndim == 1
+        if vec:
+            b = b[:, None]
+        (M, K), N = a.shape, b.shape[1]
+        limbs = -(-self.ell.bit_length() // _MATMUL_LIMB_BITS)
+        mask = np.uint64((1 << _MATMUL_LIMB_BITS) - 1)
+        shifts = [np.uint64(_MATMUL_LIMB_BITS * i) for i in range(limbs)]
+        # Row i·M + r of al is limb i of a[r].
+        al = np.empty((limbs, M, K))
+        for i, shift in enumerate(shifts):
+            al[i] = (a >> shift) & mask
+        al = al.reshape(limbs * M, K)
+        ell = np.uint64(self.ell)
+        out = np.empty((M, N), dtype=np.uint64)
+        cols = max(1, _MATMUL_BLOCK // (limbs * K))
+        for c in range(0, N, cols):
+            # Column j·n + c' of bl is limb j of b[:, c + c'].
+            block = b[:, c:c + cols]
+            n = block.shape[1]
+            bl = np.empty((K, limbs, n))
+            for j, shift in enumerate(shifts):
+                bl[:, j] = (block >> shift) & mask
+            bl = bl.reshape(K, limbs * n)
+            # sums[s] gathers the limb pairs (i, j) with i + j = s.
+            sums = np.zeros((2 * limbs - 1, M, n), dtype=np.uint64)
+            for k in range(0, K, _MATMUL_INNER):
+                prod = np.matmul(al[:, k:k + _MATMUL_INNER],
+                                 bl[k:k + _MATMUL_INNER])
+                prod = prod.reshape(limbs, M, limbs, n)
+                for i in range(limbs):
+                    for j in range(limbs):
+                        sums[i + j] += prod[i, :, j].astype(np.uint64)
+                _reduce(sums, ell)   # below ell + limbs·2**53 < 2**64
+            total = sums[0]
+            for s in range(1, 2 * limbs - 1):
+                weight = pow(2, _MATMUL_LIMB_BITS * s, self.ell)
+                total = (total + self.mul_vec(sums[s], weight)) % self.ell
+            out[:, c:c + n] = total
+        return out[:, 0] if vec else out
 
     def rational_vec(self, nums, den: int = 1) -> np.ndarray:
         """Residues of the rationals nums/den (nums an integer array)."""

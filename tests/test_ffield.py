@@ -324,6 +324,20 @@ def test_huge_extension_degree_is_refused_before_computing_q():
     assert time.perf_counter() - start < 0.5
 
 
+def test_errors_show_huge_integers_by_bit_length():
+    # str() of an integer past 4300 digits raises ValueError.
+    with pytest.raises(NotPrime) as info:
+        build_field(10**5000)
+    assert info.value.p == 10**5000
+    with pytest.raises(TableBudgetExceeded, match=r"q=3\^<16610-bit integer>"):
+        build_field(3, 10**5000)
+    for err in (NotPrime(10**5000), TableBudgetExceeded(10**5000, 2**20)):
+        assert len(str(err)) < 80 and "16610-bit" in str(err)
+    assert TableBudgetExceeded(10**5000, 2**20).q == 10**5000
+    assert str(NotPrime(2**256 - 1)) == f"{2**256 - 1} is not an odd prime"
+    assert str(NotPrime(2**256)) == "<257-bit integer> is not an odd prime"
+
+
 # ---------------------------------------------------------------------------
 # Number theory, against sympy as the reference
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from hypercount import (
     verify_davenport_hasse,
     verify_lemmas,
 )
+from hypercount.ffield import _build_field_cached
 from hypercount.oracle import _compare
 
 
@@ -177,6 +178,29 @@ def test_corrupt_exact_gauss_sum_fails_the_identity_checks(f13):
     lemmas = {r.identity: r for r in verify_lemmas(f13, ring)}
     assert not lemmas["gauss_reflection"].passed
     assert lemmas["gauss_reflection"].first_mismatches == (5, 7)
+
+
+@pytest.mark.parametrize("ring_type", [ResidueRing, ComplexRing])
+@pytest.mark.parametrize("q,mismatches,first", [
+    (13, 66, ((0, 1), (0, 3), (0, 5), (0, 7), (0, 9), (0, 11), (1, 3),
+              (1, 5))),
+    # Q = 96 takes two row blocks of the comparison.
+    (97, 4560, ((0, 1), (0, 3), (0, 5), (0, 7), (0, 9), (0, 11), (0, 13),
+                (0, 15))),
+])
+def test_corrupt_jacobi_term_fails_gauss_to_jacobi(ring_type, q, mismatches,
+                                                   first):
+    # A field of its own, outside build_field's cache: dlog(1 - g^5) moves
+    # by Q/2, so T^-n(1 - g^5) changes sign exactly for odd n.  Counts and
+    # labels were pinned from the per-m loop this check replaced.
+    ctx = _build_field_cached.__wrapped__(q, 1)
+    Q = ctx.q - 1
+    ctx.one_minus_log[5] = (ctx.one_minus_log[5] + Q // 2) % Q
+    reports = {r.identity: r for r in verify_lemmas(ctx, ring_type(ctx))}
+    rep = reports.pop("gauss_to_jacobi")
+    assert (rep.cases, rep.mismatch_count, rep.first_mismatches) == \
+        (Q * (Q - 1), mismatches, first)
+    assert all(r.passed for r in reports.values())
 
 
 def test_davenport_hasse_degenerate_and_errors(f13):

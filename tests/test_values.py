@@ -25,9 +25,13 @@ from hypercount import (
     count_points,
     get_ring,
 )
+from hypercount.oracle import _product_down
 from hypercount.values import (
     _FLOAT_MULMOD_LIMIT,
     _LIMB_BITS,
+    _MATMUL_BLOCK,
+    _MATMUL_INNER,
+    _MATMUL_LIMB_BITS,
     _NTT_MAX_LEN,
     _NTT_PRIMES,
     _NTT_RADIX,
@@ -247,6 +251,97 @@ def test_residue_mismatches_finds_every_differing_entry(f13):
     v[2, 3] = ring.ell - 1
     bad, worst = ring.mismatches(u, v)
     assert bad.tolist() == [1, 11] and worst == 1.0
+
+
+# ---------------------------------------------------------------------------
+# Matrix products and pairwise row products
+# ---------------------------------------------------------------------------
+
+def reference_matmul(ring, a, b):
+    """The product summed term by term: Python ints mod ell, or complex."""
+    cols = b if b.ndim == 2 else b[:, None]
+    if ring.backend == "exact":
+        au = [[int(x) for x in row] for row in a]
+        bu = [[int(x) for x in col] for col in cols.T]
+        out = np.array([[sum(x * y for x, y in zip(r, c)) % ring.ell
+                         for c in bu] for r in au], dtype=np.uint64)
+    else:
+        out = np.sum(a[:, :, None] * cols[None, :, :], axis=1)
+    return out if b.ndim == 2 else out[:, 0]
+
+
+def random_payloads(ring, rng, shape):
+    if ring.backend == "exact":
+        return rng.integers(0, ring.ell, shape, dtype=np.uint64)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+# (M, K, N), N = None for a vector: small, inner dimensions crossing
+# _MATMUL_INNER, and a b wide enough to be split in several column blocks.
+MATMUL_SHAPES = [(4, 7, 5), (3, _MATMUL_INNER + 5, 2), (3, 40, 2000),
+                 (6, 9, None), (2, _MATMUL_INNER + 1, None)]
+
+
+@pytest.mark.parametrize("m,k,n", MATMUL_SHAPES)
+def test_matmul_matches_the_termwise_sum(ring13, m, k, n):
+    rng = np.random.default_rng(m * k)
+    a = random_payloads(ring13, rng, (m, k))
+    b = random_payloads(ring13, rng, (k,) if n is None else (k, n))
+    out = ring13.matmul(a, b)
+    assert out.shape == ((m,) if n is None else (m, n))
+    if ring13.backend == "exact":
+        assert out.dtype == np.uint64
+        assert np.array_equal(out, reference_matmul(ring13, a, b))
+    else:
+        assert np.allclose(out, reference_matmul(ring13, a, b))
+
+
+def test_matmul_limb_bounds(f13, big_ring):
+    # Each float64 partial sum holds _MATMUL_INNER products of two limbs.
+    assert _MATMUL_INNER * (2**_MATMUL_LIMB_BITS - 1) ** 2 < 2**53
+    assert _MATMUL_BLOCK // (2 * 40) < 2000   # (3, 40, 2000) takes blocks
+    # Every entry ell - 1 makes every limb, and so every partial sum, as
+    # large as this ell allows; (ell - 1)² = 1 mod ell.
+    for ring in (get_ring(f13, "exact"), big_ring[1]):
+        for m, k, n in MATMUL_SHAPES:
+            a = np.full((m, k), ring.ell - 1, dtype=np.uint64)
+            b = np.full((k,) if n is None else (k, n), ring.ell - 1,
+                        dtype=np.uint64)
+            assert np.all(ring.matmul(a, b) == k % ring.ell)
+
+
+def test_object_path_matmul(big_ring):
+    ctx, ring = big_ring
+    assert ring.ell.bit_length() > 2 * _MATMUL_LIMB_BITS   # three limbs
+    rng = np.random.default_rng(121)
+    a = random_payloads(ring, rng, (5, ctx.q - 1))
+    b = random_payloads(ring, rng, (ctx.q - 1, 6))
+    assert np.array_equal(ring.matmul(a, b), reference_matmul(ring, a, b))
+    assert np.array_equal(ring.matmul(a, b[:, 2]),
+                          reference_matmul(ring, a, b[:, 2]))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 7, 8])
+def test_pairwise_row_product_matches_sequential(ring13, m):
+    rows = random_payloads(ring13, np.random.default_rng(m), (m, 12))
+    expected = rows[0]
+    for row in rows[1:]:
+        expected = ring13.mul_vec(expected, row)
+    out = _product_down(ring13, rows)
+    if ring13.backend == "exact":
+        assert np.array_equal(out, expected)
+    else:
+        assert np.allclose(out, expected)
+
+
+def test_pairwise_row_product_takes_log2_m_products(f13):
+    ring = get_ring(f13, "exact")
+    calls = []
+    counting = SimpleNamespace(
+        mul_vec=lambda u, v: calls.append(1) or ring.mul_vec(u, v))
+    rows = np.arange(1, 8 * 7 + 1, dtype=np.uint64).reshape(7, 8)
+    _product_down(counting, rows)
+    assert len(calls) == 3
 
 
 # ---------------------------------------------------------------------------
