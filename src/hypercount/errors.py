@@ -106,9 +106,10 @@ class FloatRangeExceeded(HypercountError):
 class NonIntegerResult(HypercountError):
     """A value that must lift to a rational integer failed to do so.
 
-    Raised only by the floating-point backend when the residual after
-    rounding exceeds the configured tolerance; signals a bug or a
-    tolerance breach, never a legitimate numeric outcome.
+    Raised by the floating-point backend when the residual after rounding
+    exceeds the configured tolerance, and by the exact Gauss table when an
+    entry of its float FFT convolution lies 1/4 or more from an integer;
+    signals a bug or a tolerance breach, never a legitimate numeric outcome.
     """
 
     def __init__(self, value: complex, residual: float, tolerance: float):

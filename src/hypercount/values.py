@@ -19,8 +19,9 @@ interchangeable backends realize this ring:
   rational-integer result is recovered exactly from its balanced residue.
   Its Gauss table is an exact length-(q-1) DFT mod ell
   (:meth:`ResidueRing.dft_mod`): Bluestein's chirp-z transform, with the
-  convolution done by a three-prime NTT and Garner's CRT, in O(q log q)
-  time and O(q) memory.
+  convolution done by float64 FFTs on limbs narrow enough that Percival's
+  error bound makes rounding exact, and every rounded entry checked, in
+  O(q log q) time and O(q) memory.
 
 Scalar values are wrapped in :class:`CharValue`; bulk kernels work on raw
 numpy arrays through the ring's vector helpers (``mul_vec``, ``sum_vec``,
@@ -32,6 +33,7 @@ helper, so no kernel branches on the backend.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -57,29 +59,18 @@ _ELL_FLOOR = 2**40
 #: explicit ``d_max`` falls back to object-dtype arithmetic instead.
 _FLOAT_MULMOD_LIMIT = 2**50
 
-#: Primes of the exact convolution in :meth:`ResidueRing.dft_mod`.  Each is
-#: c·2^k + 1 with k >= 23 and primitive root 3, and each is below 2**30, so
-#: the product of two residues stays below 2**60 and uint64 arithmetic is
-#: exact.  Their product is about 2**86.
-_NTT_PRIMES = (998244353, 167772161, 469762049)
-_NTT_MAX_LEN = 2**23
+#: Float64 unit roundoff, and the error assumed for each of numpy's
+#: precomputed FFT roots of unity (a few ulps): Percival's epsilon and beta
+#: in :func:`_limb_bits`.
+_EPS = 2.0**-53
+_ROOT_ERR = 2.0**-51
 
-#: Largest radix of an NTT pass: a pass sums this many products below
-#: 2**60, so it must stay at most 16 for uint64.  Timing a forward and an
-#: inverse transform of four rows, radix 8 was the fastest of 2, 4, 8 and
-#: 16 at every length from 64 to 16384, and within 10% of radix 4 at 2**18.
-_NTT_RADIX = 8
+#: Longest transform :meth:`ResidueRing.dft_mod` runs (q - 1 <= 2**22).
+_FFT_MAX_LEN = 2**23
 
-#: Entries an NTT pass transforms at once (see :func:`_ntt`).  Blocks of
-#: 2**12 to 2**18 entries took the same 7-8 s and 197 MB for the Gauss
-#: table at q = 1048573; whole passes took 10.4 s and 348 MB.
-_NTT_BLOCK = 2**16
-
-#: Residues mod ell are split into limbs of this many bits for the NTT.
-_LIMB_BITS = 25
-
-#: Most uint64 entries :meth:`ResidueRing.dft_mod` recombines in one chunk.
-_GARNER_CHUNK = 2**18
+#: Convolution entries :meth:`ResidueRing.dft_mod` rounds and folds mod ell
+#: at once, so the fold's temporaries stay small beside the spectra.
+_FOLD_BLOCK = 2**16
 
 #: :meth:`ResidueRing.matmul` splits residues into limbs of this many bits
 #: and sums at most ``_MATMUL_INNER`` limb products in float64 at once:
@@ -327,132 +318,28 @@ def _reduce(t, m):
     return t
 
 
-def _powers(bases, count: int, mod: int, mulmod) -> np.ndarray:
-    """Rows base^i mod ``mod`` for i < count, one row per base.
-
-    Each step multiplies the filled prefix by up to fifteen powers of the
-    bases in one ``mulmod`` call, so the table grows up to sixteenfold a
-    step: few numpy calls even for small tables, no Python loop over i.
-    """
-    out = np.empty((len(bases), count), dtype=np.uint64)
-    out[:, :1] = 1
-    s = 1
-    while s < count:
-        k = min(16, -(-count // s))   # blocks of s entries after the step
-        steps = np.array([[pow(b, s * j, mod) for j in range(1, k)]
-                          for b in bases], dtype=np.uint64)
-        block = mulmod(out[:, None, :s], steps[:, :, None])
-        end = min(k * s, count)
-        out[:, s:end] = block.reshape(len(bases), -1)[:, :end - s]
-        s = end
-    return out
+@functools.cache
+def _limb_bits(n: int, bits: int) -> int:
+    """Widest limb width B for a length-2**n convolution of residues below
+    2**bits: with L = ceil(bits/B) limb pairs summed per row, the error
+    bound L·2**n·(2**B - 1)²·E(n) stays at most 1/4, where E(n) is
+    Percival's (see :class:`ResidueRing`)."""
+    error = math.expm1(3 * n * math.log1p(_EPS)
+                       + (3 * n + 1) * math.log1p(_EPS * math.sqrt(5))
+                       + 3 * n * math.log1p(_ROOT_ERR))
+    return next(B for B in range(bits, 0, -1)
+                if -(-bits // B) * 2**n * (2**B - 1) ** 2 * error <= 0.25)
 
 
-def _ntt_roots(mod: int, n: int) -> np.ndarray:
-    """w^j mod the prime ``mod`` for j < n, where w = 3^((mod - 1)/n) is a
-    primitive n-th root of unity (n a power of two dividing mod - 1)."""
-    m = np.uint64(mod)
-    return _powers([pow(3, (mod - 1) // n, mod)], n, mod,
-                   lambda u, v: _reduce(u * v, m))[0]
-
-
-def _ntt_plans(n: int) -> tuple:
-    """The passes of a forward and of an inverse length-n NTT, each list in
-    the order the passes run.
-
-    A pass is (r, c, dft, before, after): it views its input as (B, r, c),
-    takes the length-r DFTs along the middle axis as one matmul with the
-    r×r matrix of exponents ``dft``, and scales the (r, c) entries by the
-    twiddle exponents ``before`` or ``after`` the matmul (or not at all, for
-    None).  Exponents index the table of powers of a primitive n-th root w;
-    the inverse's are negated, and roots[-e] = w^(n - e) = w^-e.
-    """
-    forward = []
-    sub = n
-    while sub > 1:
-        r = min(_NTT_RADIX, sub)
-        c = sub // r
-        # Every exponent is below r·n <= 2**26, so int32 holds it.
-        k = np.arange(r, dtype=np.int32)[:, None]
-        dft = k * np.arange(r, dtype=np.int32) * (n // r) % n
-        twiddle = (k * np.arange(c, dtype=np.int32) * (n // sub)
-                   if c > 1 else None)
-        forward.append((r, c, dft, None, twiddle))
-        sub = c
-    inverse = [(r, c, -dft, None if twiddle is None else -twiddle, None)
-               for r, c, dft, _, twiddle in reversed(forward)]
-    return forward, inverse
-
-
-def _ntt(x, m, roots, plan) -> None:
-    """In-place cyclic NTT of length n along the last axis of x, shape
-    (R, n), modulo the prime m (a numpy uint64 scalar), by the passes of
-    ``_ntt_plans``; roots[j] = w^j mod m for j < n.
-
-    Cooley-Tukey with radix r <= ``_NTT_RADIX``: a forward pass on (B, r, c)
-    takes the length-r DFTs along the middle axis and scales entry
-    [b, k, j'] by w^(k·j'·n/(r·c)); the length-c DFTs of the (B·r, c) view
-    then finish the job.  Forward leaves the output in digit-reversed
-    order; the inverse plan undoes the passes in reverse, returns natural
-    order and scales by n.  A pointwise product between the two needs no
-    reordering.  A pass runs over blocks of whole (r, c) slices, about
-    ``_NTT_BLOCK`` entries or one slice, so its temporaries stay that small.
-    """
-    for r, c, dft, before, after in plan:
-        x3 = x.reshape(-1, r, c)
-        dft = roots[dft]
-        before = None if before is None else roots[before]
-        after = None if after is None else roots[after]
-        step = max(1, _NTT_BLOCK // (r * c))
-        for lo in range(0, len(x3), step):
-            block = x3[lo:lo + step]
-            if before is not None:
-                block *= before
-                _reduce(block, m)
-            # r sums of r products below 2**60 each: below 2**64.
-            out = _reduce(np.matmul(dft, block), m)
-            if after is not None:
-                out *= after
-                _reduce(out, m)
-            block[...] = out
-
-
-def _convolve_window(a, b, limbs: int, lo: int, hi: int) -> np.ndarray:
-    """Entries lo..hi-1 of the cyclic convolution of the integer vectors a
-    and b (uint64, entries below 2**(limbs·_LIMB_BITS)), limb by limb.
-
-    Returns residues of shape (3, 2·limbs − 1, hi − lo): row [k, s] holds
-    the convolution of the limb pairs (i, j) with i + j = s, modulo
-    ``_NTT_PRIMES[k]``.  The length n is the least power of two holding b.
-    The primes run one at a time, so at most 4·limbs − 1 rows of n uint64,
-    and temporaries of a row or of one pass's block, are alive at once.
-    """
-    n = 1 << (len(b) - 1).bit_length()
-    if n > _NTT_MAX_LEN:
-        raise ValueError(f"transform length {n} exceeds {_NTT_MAX_LEN}")
-    mask = np.uint64((1 << _LIMB_BITS) - 1)
-    sums = 2 * limbs - 1
-    out = np.empty((3, sums, hi - lo), dtype=np.uint32)
-    plan, inverse_plan = _ntt_plans(n)
-    for k, mod in enumerate(_NTT_PRIMES):
-        m = np.uint64(mod)
-        roots = _ntt_roots(mod, n)
-        x = np.zeros((2 * limbs, n), dtype=np.uint64)
-        for i in range(limbs):
-            shift = np.uint64(i * _LIMB_BITS)
-            x[i, :len(a)] = (a >> shift) & mask
-            x[limbs + i, :len(b)] = (b >> shift) & mask
-        _ntt(x, m, roots, plan)
-        y = np.zeros((sums, n), dtype=np.uint64)
-        for s in range(sums):
-            for i in range(max(0, s - limbs + 1), min(s, limbs - 1) + 1):
-                # Each product is below 2**60; at most three summands.
-                y[s] += _reduce(x[i] * x[limbs + s - i], m)
-        del x
-        _ntt(_reduce(y, m), m, roots, inverse_plan)
-        out[k] = _reduce(y[:, lo:hi] * np.uint64(pow(n, -1, mod)), m)
-        del y  # before the next prime's x is allocated
-    return out
+def _limb_spectra(x, B: int, L: int, N: int) -> list:
+    """Length-N real FFTs of the L limbs of width B of the uint64 vector x."""
+    limb = np.empty_like(x)
+    spectra = []
+    for i in range(L):
+        np.right_shift(x, np.uint64(B * i), out=limb)
+        limb &= np.uint64(2**B - 1)
+        spectra.append(np.fft.rfft(limb.astype(np.float64), N))
+    return spectra
 
 
 class ResidueRing:
@@ -487,19 +374,32 @@ class ResidueRing:
     a[k] = u[k]·zeta^(-C(k,2)) and b[n] = zeta^(C(n,2)), n < 2Q - 1: only
     powers of the (q-1)-th root zeta are needed.  Entries Q-1..2Q-2 of the
     convolution of reversed a with b are those sums, so a cyclic transform
-    of length N = 2^ceil(log2(2Q - 1)) loses none of them.  Residues are
-    split into L = ceil(bits(ell)/25) limbs below 2**25 (L = 2 for the
-    default ell, 3 for the widest d_max ring), and the limb convolutions
-    run modulo the NTT primes 998244353, 167772161 and 469762049.  Each
-    integer coefficient is at most L·Q·(2**25)² < L·N·2**50 < 2**74 (N <=
-    2**23), below the primes' product of about 2**86, so Garner's CRT
-    recovers it exactly; ``mul_vec`` reduces it mod ell and the limbs fold
-    back with powers of 2**25.  Time is O(L·Q log Q).  The primes run one
-    after another and each transform runs in place, so the peak holds
-    about 15 rows of N uint64 for L = 2: the 2L limb rows and 2L - 1
-    products of one prime, the chirp and the (3, 2L - 1, Q) uint32 window
-    of results.  The table at q = 1048573 raises peak RSS by about 200 MB
-    over the field and ring.
+    of length N = 2^ceil(log2(2Q - 1)) loses none of them.
+
+    The convolution runs in float64 FFTs.  Residues are split into
+    L = ceil(bits(ell)/B) limbs below 2**B; for each s the spectra of the
+    limb pairs (i, j) with i + j = s are summed and one inverse real FFT
+    gives row s.  Percival (Math. Comp. 72, 2003, Thm 5.1) bounds the
+    error of a float FFT product of x and y at length N = 2**n by
+    ||x||·||y||·E(n), E(n) = (1+eps)^3n·(1+eps·sqrt 5)^(3n+1)·(1+beta)^3n
+    - 1, with eps = 2**-53 and beta the error of the precomputed roots of
+    unity, taken as 2**-51.  Here ||x||·||y|| <= N·(2**B - 1)², so a row
+    errs by at most L·N·(2**B - 1)²·E(n), and B is the widest width that
+    keeps this at most 1/4 (:func:`_limb_bits`).  For the default ell (41
+    bits up to q ~ 370000, 45 at q = 1048573) that is B = 14 to 21 and
+    L = 2 or 3 up to N = 2**13 (q ~ 4100), B = 11 to 13 and L = 4 up to
+    N = 2**18, and B = 9 or 10 and L = 5 up to N = 2**21.  Every row entry
+    is then below 2**53, so ``np.rint`` recovers it exactly; it is reduced
+    mod ell and folded back with the weight 2**(B·s).  numpy's FFT is not
+    the radix-2 algorithm Percival analyses and beta is an assumption, so
+    the rounding is checked: an entry 1/4 or more from an integer raises
+    :class:`NonIntegerResult`, and no table is returned or cached.  Time
+    is O(L·Q log Q): 2L forward and 2L - 1 inverse real FFTs.  The working
+    set is the 2L limb spectra of N/2 + 1 complex128 each, the row, one
+    buffer of products that the inverse reuses, and two Q-entry uint64
+    vectors (the chirp factors and the sum); rounding and folding run in
+    blocks of ``_FOLD_BLOCK`` entries.  At q = 1048573 (L = 5) the table
+    raises peak RSS by about 215 MB over the field and ring.
 
     :meth:`matmul` is exact the same way.  Residues are split into
     L' = ceil(bits(ell)/21) limbs below 2**21 (two for the default ell
@@ -548,9 +448,26 @@ class ResidueRing:
 
     def _power_tables(self, *pairs) -> list:
         """For each (base, count), the read-only table base^i mod ell for
-        i < count, all filled together by :func:`_powers`."""
-        out = _powers([base for base, _ in pairs],
-                      max(count for _, count in pairs), self.ell, self.mul_vec)
+        i < count, all filled together.
+
+        Each step multiplies the filled prefix by up to fifteen powers of
+        the bases in one ``mul_vec`` call, so the tables grow up to
+        sixteenfold a step: few numpy calls even for small tables, no
+        Python loop over i.
+        """
+        bases = [base for base, _ in pairs]
+        count = max(count for _, count in pairs)
+        out = np.empty((len(bases), count), dtype=np.uint64)
+        out[:, :1] = 1
+        s = 1
+        while s < count:
+            k = min(16, -(-count // s))   # blocks of s entries after the step
+            steps = np.array([[pow(b, s * j, self.ell) for j in range(1, k)]
+                              for b in bases], dtype=np.uint64)
+            block = self.mul_vec(out[:, None, :s], steps[:, :, None])
+            end = min(k * s, count)
+            out[:, s:end] = block.reshape(len(bases), -1)[:, :end - s]
+            s = end
         tables = [out[k, :count].copy() for k, (_, count) in enumerate(pairs)]
         for table in tables:
             table.setflags(write=False)
@@ -736,12 +653,18 @@ class ResidueRing:
         """Exact DFT: entry m is sum_i u[i]·zeta^(m·i) mod ell, m < Q.
 
         u is a length-Q residue vector, Q = q - 1 and zeta = roots_q1[1].
-        Bluestein's chirp-z route (see the class docstring) in O(Q log Q).
+        Bluestein's chirp-z route over a float FFT convolution (see the
+        class docstring) in O(Q log Q).  Raises :class:`NonIntegerResult`
+        if a convolution entry lies 1/4 or more from an integer.
         """
         powers = self.roots_q1
         Q = len(powers)
         if len(u) != Q:
             raise ValueError(f"dft_mod needs {Q} residues, got {len(u)}")
+        n = (2 * Q - 2).bit_length()          # 2**n holds the 2Q - 1 chirp
+        N = 2**n
+        if N > _FFT_MAX_LEN:
+            raise ValueError(f"transform length {N} exceeds {_FFT_MAX_LEN}")
         tri = np.arange(2 * Q - 1, dtype=np.int64)
         tri *= tri - 1
         tri //= 2
@@ -750,28 +673,43 @@ class ResidueRing:
         chirp = powers[tri]
         del tri
         a = np.asarray(self.mul_vec(u, down), dtype=np.uint64)[::-1]
-        limbs = -(-self.ell.bit_length() // _LIMB_BITS)
-        window = _convolve_window(a, chirp, limbs, Q - 1, 2 * Q - 1)
-        del a, chirp
-        m1, m2, m3 = _NTT_PRIMES
-        ell = self.ell
-        # Entry [d, s] weighs Garner digit d of the limb-sum s mod ell.
-        weights = np.array([[c * (1 << (_LIMB_BITS * s)) % ell
-                             for s in range(2 * limbs - 1)]
-                            for c in (1, m1, m1 * m2)], dtype=np.uint64)
-        conv = np.empty(Q, dtype=np.uint64)
-        cols = _GARNER_CHUNK // weights.size
-        for lo in range(0, Q, cols):
-            # Garner: each limb-sum convolution is r1 + m1·v2 + m1·m2·v3.
-            r1, r2, r3 = window[:, :, lo:lo + cols].astype(np.uint64)
-            v2 = (r2 + (m2 - r1 % m2)) % m2 * pow(m1, -1, m2) % m2
-            v3 = (r3 + (m3 - r1 % m3)) % m3
-            v3 = (v3 + (m3 - (m1 % m3) * v2 % m3)) % m3
-            v3 = v3 * pow(m1 * m2 % m3, -1, m3) % m3
-            terms = self.mul_vec(np.stack([r1, v2, v3]) % ell,
-                                 weights[:, :, None])
-            conv[lo:lo + cols] = self.sum_rows(
-                terms.reshape(-1, r1.shape[1]).T)
+        del u
+        bits = self.ell.bit_length()
+        B = _limb_bits(n, bits)
+        L = -(-bits // B)
+        # Spectra i and L + i are those of limb i of the chirp and of a; the
+        # longer chirp goes first so it is freed before a's limbs are split.
+        spectra = _limb_spectra(chirp, B, L, N)
+        del chirp
+        spectra += _limb_spectra(a, B, L, N)
+        del a
+        ell = np.uint64(self.ell)
+        row, prod = np.empty((2, N // 2 + 1), dtype=np.complex128)
+        conv = np.zeros(Q, dtype=np.uint64)
+        for s in range(2 * L - 1):
+            # Row s is the sum of the limb-pair convolutions with i + j = s.
+            first, *rest = range(max(0, s - L + 1), min(s, L - 1) + 1)
+            np.multiply(spectra[first], spectra[L + s - first], out=row)
+            for i in rest:
+                row += np.multiply(spectra[i], spectra[L + s - i], out=prod)
+            # Entries Q-1..2Q-2 of the cyclic convolution are the sums; the
+            # inverse reuses prod's memory.
+            window = np.fft.irfft(row, N, out=prod.view(np.float64)[:N])[
+                Q - 1:2 * Q - 1]
+            weight = pow(2, B * s, self.ell)
+            for lo in range(0, Q, _FOLD_BLOCK):
+                part = window[lo:lo + _FOLD_BLOCK]
+                exact = np.rint(part)
+                residual = np.abs(part - exact)
+                k = residual.argmax()             # the first NaN, if any
+                if not residual[k] < 0.25:
+                    raise NonIntegerResult(float(part[k]), float(residual[k]),
+                                           0.25)
+                term = self.mul_vec(_reduce(exact.astype(np.uint64), ell),
+                                    weight)
+                acc = conv[lo:lo + _FOLD_BLOCK]
+                acc += np.asarray(term, dtype=np.uint64)
+                acc[acc >= ell] -= ell
         return np.asarray(self.mul_vec(conv, down), dtype=np.uint64)
 
     @property

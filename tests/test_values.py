@@ -5,7 +5,9 @@ root-of-unity tables — no FFT, no blocking — so the two computation
 routes are independent.
 """
 
+import hashlib
 import math
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -27,15 +29,15 @@ from hypercount import (
 )
 from hypercount.oracle import _product_down
 from hypercount.values import (
+    _EPS,
+    _FFT_MAX_LEN,
     _FLOAT_MULMOD_LIMIT,
-    _LIMB_BITS,
     _MATMUL_BLOCK,
     _MATMUL_INNER,
     _MATMUL_LIMB_BITS,
-    _NTT_MAX_LEN,
-    _NTT_PRIMES,
-    _NTT_RADIX,
     _RING_CACHE,
+    _ROOT_ERR,
+    _limb_bits,
 )
 
 
@@ -380,17 +382,101 @@ def test_dft_mod_rejects_a_wrong_length(f13):
         ring.dft_mod(np.zeros(13, dtype=np.uint64))
 
 
-def test_ntt_constants_keep_the_arithmetic_exact():
-    # Random inputs almost never reach these bounds, so they are checked
-    # here rather than by the transforms above.
-    for m in _NTT_PRIMES:
-        # 3 is a non-residue, so 3^((m-1)/n) has order n for n | 2**23.
-        assert (m - 1) % _NTT_MAX_LEN == 0 and pow(3, (m - 1) // 2, m) == m - 1
-        assert _NTT_RADIX * (m - 1) ** 2 < 2**64   # one pass's matmul sums
-    # Three limbs cover ell < 2**63; each convolution coefficient must stay
-    # below the primes' product for Garner's CRT.
-    limbs = -(-63 // _LIMB_BITS)
-    assert limbs * _NTT_MAX_LEN * 2**(2 * _LIMB_BITS) < math.prod(_NTT_PRIMES)
+def percival_bound(n, sqrt5):
+    """Percival's E(n) in exact rationals, with sqrt(5) replaced by the
+    rational ``sqrt5``: an upper bound when sqrt5 > sqrt(5)."""
+    eps, beta = Fraction(1, 2**53), Fraction(1, 2**51)
+    return ((1 + eps) ** (3 * n) * (1 + eps * sqrt5) ** (3 * n + 1)
+            * (1 + beta) ** (3 * n) - 1)
+
+
+def test_limb_width_keeps_the_fft_bound():
+    # Random inputs almost never reach the bound, so it is checked here, in
+    # exact arithmetic, for every transform length dft_mod accepts and
+    # every modulus width from the default ell (41 bits) to 2**63.
+    assert (_EPS, _ROOT_ERR) == (2.0**-53, 2.0**-51)
+    above, below = Fraction(22360679775, 10**10), Fraction(2236067977, 10**9)
+    assert below**2 < 5 < above**2
+    for n in range(1, _FFT_MAX_LEN.bit_length()):
+        upper, lower = percival_bound(n, above), percival_bound(n, below)
+        for bits in range(41, 64):
+            B = _limb_bits(n, bits)
+            L = -(-bits // B)
+            worst = L * 2**n * (2**B - 1) ** 2
+            assert worst * upper <= Fraction(1, 4), (n, bits)
+            assert worst < 2**53   # rounded entries are exact in float64
+            for wider in range(B + 1, bits + 1):   # B is the widest
+                wider_worst = -(-bits // wider) * 2**n * (2**wider - 1) ** 2
+                assert wider_worst * lower > Fraction(1, 4), (n, bits, wider)
+
+
+@pytest.mark.parametrize("which", ["default-263", "d_max-121"])
+def test_dft_mod_exact_at_worst_magnitude(which, big_ring):
+    # Every convolution entry a[k] = u[k]·zeta^(-C(k, 2)) is made the
+    # residue whose limbs below the top are all 2**B - 1, the top limb as
+    # large as ell allows beneath them; the chirp is the ring's own.
+    ring = (get_ring(build_field(263), "exact") if which == "default-263"
+            else big_ring[1])
+    Q, ell = ring.ctx.q - 1, ring.ell
+    bits = ell.bit_length()
+    B = _limb_bits((2 * Q - 2).bit_length(), bits)
+    low = B * (-(-bits // B) - 1)
+    worst = (ell >> low << low) - 1
+    assert worst < ell and worst % 2**low == 2**low - 1
+    z = [int(x) for x in ring.roots_q1]
+    u = np.array([worst * z[k * (k - 1) // 2 % Q] % ell for k in range(Q)],
+                 dtype=np.uint64)
+    assert [int(x) for x in ring.dft_mod(u)] == naive_dft(ring, u)
+
+
+# sha256 of the exact Gauss tables (uint64, little-endian) as the
+# three-prime NTT built them; the float convolution must reproduce them.
+SMALL_GAUSS_DIGEST = \
+    "5cce6f703a5c74a176d2e57f434c3974a8838bb8367d33d8bbef4ad62fde4b44"
+GAUSS_DIGESTS = {
+    (601, 1): "cb0de20afbb48cdb881bb5ca1bf681afaaa45ef940c7f9e5c5f31b57c1a45601",
+    (7, 4): "c7241dd56bd9abcde5e8436572d610292814cc0fca3e788c64a7eb077e8eb9fa",
+    (3001, 1): "a4312dae43ed48d660dcd19972946a61189178e4bec95b05e15599f427259f54",
+    (4201, 1): "62a4a0e96d3839a7cecefe5cc3e2498c0dbbf4134f2b20f142801bee7fda0221",
+    (19681, 1): "dbb561240e24d40c2cccf2b98510e0ecd05e458b66745b4d1dea6537e44d81f6",
+    (3, 9): "447716f68f9e8d3784364299fb1af44886fa15031657816df3ecbfa8b3e2c96a",
+    # N = 2**21 and five limbs: the top of the default table budget.
+    (1048573, 1):
+        "7439dc60ef0e7472802910e7e69ae496421b973a5fc93b39ce4ec272a004b6ad",
+}
+
+
+def table_bytes(ring):
+    return ring.gauss_array.astype("<u8").tobytes()
+
+
+def test_small_gauss_tables_are_pinned():
+    digest = hashlib.sha256()
+    for q in range(3, 257, 2):
+        factors = sympy.factorint(q)
+        if len(factors) == 1:
+            (p, e), = factors.items()
+            digest.update(table_bytes(get_ring(build_field(p, e), "exact")))
+    assert digest.hexdigest() == SMALL_GAUSS_DIGEST
+
+
+@pytest.mark.parametrize("p,e", list(GAUSS_DIGESTS))
+def test_gauss_table_is_pinned(p, e):
+    ring = get_ring(build_field(p, e), "exact")
+    assert hashlib.sha256(table_bytes(ring)).hexdigest() == \
+        GAUSS_DIGESTS[p, e]
+
+
+def test_inexact_convolution_raises_and_caches_nothing(monkeypatch):
+    ring = ResidueRing(build_field(601))   # a ring of its own, uncached
+    irfft = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: irfft(*a, **k) + 0.3)
+    with pytest.raises(NonIntegerResult):
+        ring.gauss_array
+    assert ring._gauss is None
+    monkeypatch.undo()
+    assert hashlib.sha256(table_bytes(ring)).hexdigest() == \
+        GAUSS_DIGESTS[601, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -473,11 +559,14 @@ def test_object_path_dft_matches_naive_dft(big_ring):
 
 
 @pytest.mark.parametrize("p,d_max,bits", [(13, 2, 10), (101, 15, 62)])
-def test_dft_mod_at_one_and_three_limbs(p, d_max, bits):
-    # The smallest and the widest moduli an explicit d_max builds here:
-    # one 25-bit limb on the uint64 path, three on the object path.
+def test_dft_mod_at_narrowest_and_widest_moduli(p, d_max, bits):
+    # The smallest and the widest moduli an explicit d_max builds here: one
+    # 10-bit limb at N = 32 on the uint64 path, four 16-bit limbs at N = 256
+    # on the object path.
     ring = get_ring(build_field(p), "exact", d_max=d_max)
     assert ring.ell.bit_length() == bits
+    n = (2 * p - 4).bit_length()
+    assert -(-bits // _limb_bits(n, bits)) == {10: 1, 62: 4}[bits]
     check_dft(ring, seed=bits)
 
 
