@@ -33,7 +33,6 @@ helper, so no kernel branches on the backend.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 
@@ -318,7 +317,6 @@ def _reduce(t, m):
     return t
 
 
-@functools.cache
 def _limb_bits(n: int, bits: int) -> int:
     """Widest limb width B for a length-2**n convolution of residues below
     2**bits: with L = ceil(bits/B) limb pairs summed per row, the error
@@ -396,10 +394,11 @@ class ResidueRing:
     :class:`NonIntegerResult`, and no table is returned or cached.  Time
     is O(L·Q log Q): 2L forward and 2L - 1 inverse real FFTs.  The working
     set is the 2L limb spectra of N/2 + 1 complex128 each, the row, one
-    buffer of products that the inverse reuses, and two Q-entry uint64
-    vectors (the chirp factors and the sum); rounding and folding run in
-    blocks of ``_FOLD_BLOCK`` entries.  At q = 1048573 (L = 5) the table
-    raises peak RSS by about 215 MB over the field and ring.
+    more row of that size (a limb-pair product, then the inverse of the
+    row, which is freed before the next row is inverted), and two Q-entry
+    uint64 vectors (the chirp factors and the sum); rounding and folding
+    run in blocks of ``_FOLD_BLOCK`` entries.  At q = 1048573 (L = 5) the
+    table raises peak RSS by about 215 MB over the field and ring.
 
     :meth:`matmul` is exact the same way.  Residues are split into
     L' = ceil(bits(ell)/21) limbs below 2**21 (two for the default ell
@@ -673,7 +672,6 @@ class ResidueRing:
         chirp = powers[tri]
         del tri
         a = np.asarray(self.mul_vec(u, down), dtype=np.uint64)[::-1]
-        del u
         bits = self.ell.bit_length()
         B = _limb_bits(n, bits)
         L = -(-bits // B)
@@ -684,18 +682,16 @@ class ResidueRing:
         spectra += _limb_spectra(a, B, L, N)
         del a
         ell = np.uint64(self.ell)
-        row, prod = np.empty((2, N // 2 + 1), dtype=np.complex128)
+        row = np.empty(N // 2 + 1, dtype=np.complex128)
         conv = np.zeros(Q, dtype=np.uint64)
         for s in range(2 * L - 1):
             # Row s is the sum of the limb-pair convolutions with i + j = s.
             first, *rest = range(max(0, s - L + 1), min(s, L - 1) + 1)
             np.multiply(spectra[first], spectra[L + s - first], out=row)
             for i in rest:
-                row += np.multiply(spectra[i], spectra[L + s - i], out=prod)
-            # Entries Q-1..2Q-2 of the cyclic convolution are the sums; the
-            # inverse reuses prod's memory.
-            window = np.fft.irfft(row, N, out=prod.view(np.float64)[:N])[
-                Q - 1:2 * Q - 1]
+                row += spectra[i] * spectra[L + s - i]
+            # Entries Q-1..2Q-2 of the cyclic convolution are the sums.
+            window = np.fft.irfft(row, N)[Q - 1:2 * Q - 1]
             weight = pow(2, B * s, self.ell)
             for lo in range(0, Q, _FOLD_BLOCK):
                 part = window[lo:lo + _FOLD_BLOCK]
@@ -710,6 +706,7 @@ class ResidueRing:
                 acc = conv[lo:lo + _FOLD_BLOCK]
                 acc += np.asarray(term, dtype=np.uint64)
                 acc[acc >= ell] -= ell
+            del window, part   # before the next row is inverted
         return np.asarray(self.mul_vec(conv, down), dtype=np.uint64)
 
     @property
