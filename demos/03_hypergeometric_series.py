@@ -5,17 +5,21 @@ Gaussian hypergeometric series over a finite field
 The finite-field n+1_F_n series replaces the rising factorials of the
 classical series with normalized Jacobi-sum binomials and the argument
 with a field element; the whole sum is a single dot product against a
-cached coefficient vector indexed by the twisting character.
+cached coefficient vector indexed by the twisting character.  Since that
+vector does not depend on the argument, one discrete Fourier transform
+of it gives the series at every argument at once: its spectrum.
 """
 
 from hypercount import (
     HgfSpec,
     build_field,
+    dlog,
     char_of_order,
     eval_char,
     evaluate_hgf,
     get_ring,
     quadratic_char,
+    series_values,
     trivial_char,
 )
 
@@ -60,3 +64,10 @@ chi3 = char_of_order(f13, 3)
 spec3 = HgfSpec(tops=(chi4, chi3, phi), bottoms=(eps, chi3), argument=6)
 print("\n3F2 value (float):", evaluate_hgf(spec3, ring_f).payload)
 print("3F2 value (exact residue mod", str(ring_e.ell) + "):", evaluate_hgf(spec3, ring_e).payload)
+
+# The spectrum of a series holds F(g^k) for every k, so F(x) is its entry
+# dlog(x).  A ring builds it by itself once a series has been evaluated
+# often enough to pay for the transform; series_values asks for it now.
+spectrum = series_values(f13, (chi4.index, chi3.index, phi.index),
+                         (eps.index, chi3.index), ring_e)
+print("3F2 at 6 from the spectrum:", spectrum[dlog(f13, 6)])

@@ -67,7 +67,12 @@ from .errors import (
     ZeroCoefficient,
 )
 from .ffield import DEFAULT_TABLE_BUDGET, FieldCtx, build_field, dlog, trace_map
-from .hypergeom import HgfSpec, coefficient_vector, evaluate_hgf
+from .hypergeom import (
+    HgfSpec,
+    coefficient_vector,
+    evaluate_hgf,
+    series_values,
+)
 from .oracle import (
     DecompositionReport,
     IdentityReport,
@@ -148,6 +153,7 @@ __all__ = [
     "quadratic_sign",
     "required_congruence",
     "rhs_table",
+    "series_values",
     "theta",
     "theta_scaled_sum",
     "trace_frobenius_linear",

@@ -17,18 +17,18 @@ interchangeable backends realize this ring:
   ``w`` of order ``p*(q-1)`` derived from the least primitive root of
   ``ell`` (from :mod:`.ffield`), so runs are reproducible.  Every
   rational-integer result is recovered exactly from its balanced residue.
-  Its Gauss table is an exact length-(q-1) DFT mod ell
-  (:meth:`ResidueRing.dft_mod`): Bluestein's chirp-z transform, with the
-  convolution done by float64 FFTs on limbs narrow enough that Percival's
-  error bound makes rounding exact, and every rounded entry checked, in
-  O(q log q) time and O(q) memory.
+  Its length-(q-1) DFT (:meth:`ResidueRing.dft`, which gives the Gauss
+  table and the series spectra) is exact mod ell: Bluestein's chirp-z
+  transform, with the convolution done by float64 FFTs on limbs narrow
+  enough that Percival's error bound makes rounding exact, and every
+  rounded entry checked, in O(q log q) time and O(q) memory.
 
 Scalar values are wrapped in :class:`CharValue`; bulk kernels work on raw
 numpy arrays through the ring's vector helpers (``mul_vec``, ``sum_vec``,
-``sum_rows``, ``matmul``, ``root_unity_vec``, ``rational_vec``, ``scale``,
-``negate_where``, ``mismatches``, ``unit_gauss``, ``q_pow_unit``) to keep
-hot loops free of per-element wrappers.  Both rings implement every
-helper, so no kernel branches on the backend.
+``sum_rows``, ``matmul``, ``dft``, ``root_unity_vec``, ``rational_vec``,
+``scale``, ``negate_where``, ``mismatches``, ``unit_gauss``,
+``q_pow_unit``) to keep hot loops free of per-element wrappers.  Both
+rings implement every helper, so no kernel branches on the backend.
 """
 
 from __future__ import annotations
@@ -64,10 +64,10 @@ _FLOAT_MULMOD_LIMIT = 2**50
 _EPS = 2.0**-53
 _ROOT_ERR = 2.0**-51
 
-#: Longest transform :meth:`ResidueRing.dft_mod` runs (q - 1 <= 2**22).
+#: Longest transform :meth:`ResidueRing.dft` runs (q - 1 <= 2**22).
 _FFT_MAX_LEN = 2**23
 
-#: Convolution entries :meth:`ResidueRing.dft_mod` rounds and folds mod ell
+#: Convolution entries :meth:`ResidueRing.dft` rounds and folds mod ell
 #: at once, so the fold's temporaries stay small beside the spectra.
 _FOLD_BLOCK = 2**16
 
@@ -174,6 +174,8 @@ class ComplexRing:
         self._gauss = None
         self._binom_cache: dict = {}
         self._hgf_cache: dict = {}
+        self._hgf_uses: dict = {}
+        self._spectra: dict = {}
 
     # -- scalar payload ops -------------------------------------------------
 
@@ -214,10 +216,12 @@ class ComplexRing:
         return CharValue(self, self.roots_p[t % self.ctx.p])
 
     def lift_int(self, u) -> int:
-        n = round(float(np.real(u)))
-        residual = abs(u - n)
-        if residual > self.tolerance:
-            raise NonIntegerResult(complex(u), float(residual), self.tolerance)
+        n = np.rint(np.real(u))
+        with np.errstate(invalid="ignore"):   # inf - inf is NaN
+            residual = float(abs(u - n))
+        # Written as "not within tolerance" so NaN and inf fail too.
+        if not residual <= self.tolerance:
+            raise NonIntegerResult(complex(u), residual, self.tolerance)
         return int(n)
 
     def values_close(self, u, v, scale: float = 1.0) -> bool:
@@ -278,18 +282,22 @@ class ComplexRing:
 
     # -- Gauss sums -----------------------------------------------------------
 
+    def dft(self, u) -> np.ndarray:
+        """DFT: entry m is sum_i u[i]·zeta^(m·i), m < Q, for a length-Q
+        vector u, Q = q - 1: numpy's inverse FFT scaled by Q."""
+        return np.fft.ifft(u) * (self.ctx.q - 1)
+
     @property
     def gauss_array(self) -> np.ndarray:
         """All q-1 Gauss sums; entry m is G(T^m).
 
-        Computed in one pass: with u[i] = zeta_p^tr(g^i), the sum
-        G_m = sum_i u[i] * zeta_{q-1}^{m*i} is the length-(q-1) inverse DFT
-        of u scaled by q-1.
+        With u[i] = zeta_p^tr(g^i), G_m = sum_i u[i]·zeta_{q-1}^(m·i) is
+        the length-(q-1) DFT of u, computed by :meth:`dft`.
         """
         if self._gauss is None:
             ctx = self.ctx
             u = self.roots_p[ctx.trace_table[ctx.exp_table]]
-            self._gauss = np.fft.ifft(u) * (ctx.q - 1)
+            self._gauss = self.dft(u)
             self._gauss.setflags(write=False)
         return self._gauss
 
@@ -367,7 +375,7 @@ class ResidueRing:
     and falls back to object-dtype arithmetic once ell reaches 2**50.
 
     The Gauss table is the length-Q DFT of u[i] = zeta_p^tr(g^i), Q = q - 1,
-    computed by :meth:`dft_mod` (Bluestein 1970).  Since m·k = C(m+k, 2) -
+    computed by :meth:`dft` (Bluestein 1970).  Since m·k = C(m+k, 2) -
     C(m, 2) - C(k, 2), G_m = zeta^(-C(m,2)) · sum_k a[k]·b[m+k] with
     a[k] = u[k]·zeta^(-C(k,2)) and b[n] = zeta^(C(n,2)), n < 2Q - 1: only
     powers of the (q-1)-th root zeta are needed.  Entries Q-1..2Q-2 of the
@@ -444,6 +452,8 @@ class ResidueRing:
         self._gauss = None
         self._binom_cache: dict = {}
         self._hgf_cache: dict = {}
+        self._hgf_uses: dict = {}
+        self._spectra: dict = {}
 
     def _power_tables(self, *pairs) -> list:
         """For each (base, count), the read-only table base^i mod ell for
@@ -648,7 +658,7 @@ class ResidueRing:
 
     # -- Gauss sums -------------------------------------------------------------
 
-    def dft_mod(self, u) -> np.ndarray:
+    def dft(self, u) -> np.ndarray:
         """Exact DFT: entry m is sum_i u[i]·zeta^(m·i) mod ell, m < Q.
 
         u is a length-Q residue vector, Q = q - 1 and zeta = roots_q1[1].
@@ -659,7 +669,7 @@ class ResidueRing:
         powers = self.roots_q1
         Q = len(powers)
         if len(u) != Q:
-            raise ValueError(f"dft_mod needs {Q} residues, got {len(u)}")
+            raise ValueError(f"dft needs {Q} residues, got {len(u)}")
         n = (2 * Q - 2).bit_length()          # 2**n holds the 2Q - 1 chirp
         N = 2**n
         if N > _FFT_MAX_LEN:
@@ -714,11 +724,11 @@ class ResidueRing:
         """All q-1 Gauss sums as residues; entry m is G(T^m).
 
         With u[i] = zeta_p^tr(g^i), G(T^m) = sum_i u[i]·zeta_{q-1}^(m·i) is
-        the length-(q-1) DFT of u, computed exactly by :meth:`dft_mod`.
+        the length-(q-1) DFT of u, computed exactly by :meth:`dft`.
         """
         if self._gauss is None:
             ctx = self.ctx
-            out = self.dft_mod(self.roots_p[ctx.trace_table[ctx.exp_table]])
+            out = self.dft(self.roots_p[ctx.trace_table[ctx.exp_table]])
             out.setflags(write=False)
             self._gauss = out
         return self._gauss

@@ -6,12 +6,18 @@ caching, no Gauss-table kernels — and an analytic conic count pins the
 simplest series in closed form.
 """
 
+import math
+
+import numpy as np
 import pytest
 
 from hypercount import (
+    ComplexRing,
     HgfSpec,
     MixedFieldContexts,
     MultChar,
+    NonIntegerResult,
+    ResidueRing,
     binom,
     build_field,
     eval_char,
@@ -19,9 +25,12 @@ from hypercount import (
     get_ring,
     quadratic_char,
     quadratic_sign,
+    series_values,
     trivial_char,
 )
-from hypercount.hypergeom import coefficient_vector
+from hypercount import hypergeom
+from hypercount.curvecount import CLOSED_FORMS
+from hypercount.hypergeom import _DIRECT_EVALS, coefficient_vector
 
 
 def reference_hgf(spec, ring):
@@ -128,3 +137,128 @@ def test_coefficient_vector_is_cached_and_normalized(f13, backend):
     assert coefficient_vector(f13, (6, 1), (4,), ring) is vec
     assert coefficient_vector(f13, (6 + Q, 1), (4 - Q,), ring) is vec
     assert not vec.flags.writeable
+
+
+def test_coefficient_vector_rejects_mismatched_lengths(f13, backend):
+    ring = get_ring(f13, backend)
+    for tops, bottoms in (((6, 0, 4), (6,)), ((6,), (6,)), ((6, 1), ())):
+        with pytest.raises(ValueError):
+            coefficient_vector(f13, tops, bottoms, ring)
+        with pytest.raises(ValueError):
+            series_values(f13, tops, bottoms, ring)
+        assert (tops, bottoms) not in ring._hgf_cache
+
+
+# ---------------------------------------------------------------------------
+# Spectrum: the series at every argument from one transform
+# ---------------------------------------------------------------------------
+
+RINGS = {"exact": ResidueRing, "float": ComplexRing}
+
+
+def admissible_series(ctx):
+    """Index lists of every series a closed-form row uses over ctx."""
+    out = set()
+    for (family, parity), form in CLOSED_FORMS.items():
+        degrees = (3,) if parity == "trace" else \
+            (2, 4) if parity == "even" else (3, 5)
+        for d in degrees:
+            if (ctx.q - 1) % form.modulus(d) == 0:
+                tops, bottoms = form.characters(ctx, d)
+                out.add((tuple(ch.index for ch in tops),
+                         tuple(ch.index for ch in bottoms)))
+    return sorted(out)
+
+
+def spec_at(ctx, tops, bottoms, x):
+    """The series with these index lists at the argument x."""
+    return HgfSpec(tuple(MultChar(ctx, i) for i in tops),
+                   tuple(MultChar(ctx, i) for i in bottoms), int(x))
+
+
+def direct_values(ctx, tops, bottoms, ring, monkeypatch):
+    """The series at g^k, k = 0..q-2, each by the direct twisted sum."""
+    monkeypatch.setattr(hypergeom, "_DIRECT_EVALS", math.inf)
+    values = [evaluate_hgf(spec_at(ctx, tops, bottoms, x), ring)
+              for x in ctx.exp_table[:ctx.q - 1]]
+    monkeypatch.undo()
+    assert not ring._spectra
+    return values
+
+
+@pytest.mark.parametrize("p,e", [(11, 2), (601, 1), (7, 4)])
+def test_spectrum_matches_direct_sum_on_every_series(p, e, backend,
+                                                     monkeypatch):
+    ctx = build_field(p, e)
+    series = admissible_series(ctx)
+    assert len(series) == 6   # 2 even, 2 odd A, 2 odd B (d = 3, 5)
+    for tops, bottoms in series:
+        ring = RINGS[backend](ctx)
+        direct = direct_values(ctx, tops, bottoms, ring, monkeypatch)
+        spectrum = series_values(ctx, tops, bottoms, ring)
+        assert not spectrum.flags.writeable
+        assert spectrum.shape == (ctx.q - 1,)
+        if backend == "exact":
+            assert [int(v) for v in spectrum] == \
+                [v.payload for v in direct], (tops, bottoms)
+        else:
+            worst = max(abs(spectrum[k] - v.payload)
+                        for k, v in enumerate(direct))
+            assert worst <= 1e-12, (tops, bottoms, worst)
+
+
+def test_spectrum_is_built_at_the_threshold(backend):
+    ctx = build_field(601)
+    ring, fresh = RINGS[backend](ctx), RINGS[backend](ctx)
+    tops, bottoms = admissible_series(ctx)[0]
+    key = (tops, bottoms)
+    columns = list(zip(tops, (0, *bottoms)))
+    assert _DIRECT_EVALS == 31
+    for n in range(1, 33):
+        spec = spec_at(ctx, tops, bottoms, ctx.exp_table[7 * n])
+        value = evaluate_hgf(spec, ring)
+        if n <= 31:
+            assert key not in ring._spectra and key in ring._hgf_cache
+            assert ring._hgf_uses[key] == n
+    # The 32nd evaluation read the spectrum, which agrees with the direct
+    # sum on a ring that has evaluated the series once.
+    assert key in ring._spectra
+    expected = evaluate_hgf(spec, fresh)
+    assert key not in fresh._spectra
+    if backend == "exact":
+        assert value.payload == expected.payload
+    else:
+        assert abs(value.payload - expected.payload) <= 1e-12
+    # The ring keeps only the spectrum: no coefficient vector, no columns.
+    assert key not in ring._hgf_cache and key not in ring._hgf_uses
+    assert not any(column in ring._binom_cache for column in columns)
+    assert not any(column in fresh._binom_cache for column in columns)
+
+
+def test_argument_zero_is_not_counted(backend):
+    ctx = build_field(601)
+    ring = RINGS[backend](ctx)
+    spec = spec_at(ctx, *admissible_series(ctx)[0], 0)
+    for _ in range(2 * _DIRECT_EVALS):
+        evaluate_hgf(spec, ring)
+    assert not ring._hgf_uses and not ring._spectra
+
+
+def test_inexact_spectrum_raises_and_caches_nothing(monkeypatch):
+    ctx = build_field(601)
+    ring = ResidueRing(ctx)   # a ring of its own, uncached
+    tops, bottoms = admissible_series(ctx)[0]
+    spec = spec_at(ctx, tops, bottoms, 5)
+    for _ in range(_DIRECT_EVALS):
+        expected = evaluate_hgf(spec, ring)
+    irfft = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: irfft(*a, **k) + 0.3)
+    for build in (lambda: series_values(ctx, tops, bottoms, ring),
+                  lambda: evaluate_hgf(spec, ring)):
+        with pytest.raises(NonIntegerResult):
+            build()
+        assert not ring._spectra
+        assert (tops, bottoms) in ring._hgf_cache
+    monkeypatch.undo()
+    assert evaluate_hgf(spec, ring).payload == expected.payload
+    assert (tops, bottoms) in ring._spectra

@@ -192,6 +192,15 @@ def test_float_lift_guards_against_non_integers(f13):
         ring.wrap(3 + 0.01j).lift_int()
 
 
+@pytest.mark.parametrize("payload", [float("nan"), float("inf"),
+                                     -float("inf"), complex(float("inf"), 0),
+                                     complex(0, float("nan"))])
+def test_float_lift_refuses_nan_and_inf(f13, payload):
+    with pytest.raises(NonIntegerResult) as info:
+        get_ring(f13, "float").lift_int(payload)
+    assert isinstance(info.value, HypercountError)
+
+
 def test_float_from_int_refuses_integers_past_double_range(f13):
     ring = get_ring(f13, "float")
     assert ring.from_int(10**308).payload == complex(10**308)
@@ -363,7 +372,7 @@ def check_dft(ring, seed):
     Q = ring.ctx.q - 1
     u = np.array([int(x) for x in rng.integers(0, ring.ell, Q)],
                  dtype=np.uint64)
-    out = ring.dft_mod(u)
+    out = ring.dft(u)
     assert out.dtype == np.uint64 and out.shape == (Q,)
     assert [int(x) for x in out] == naive_dft(ring, u)
 
@@ -379,7 +388,7 @@ def test_dft_mod_matches_naive_dft(q):
 def test_dft_mod_rejects_a_wrong_length(f13):
     ring = get_ring(f13, "exact")
     with pytest.raises(ValueError):
-        ring.dft_mod(np.zeros(13, dtype=np.uint64))
+        ring.dft(np.zeros(13, dtype=np.uint64))
 
 
 def percival_bound(n, sqrt5):
@@ -392,7 +401,7 @@ def percival_bound(n, sqrt5):
 
 def test_limb_width_keeps_the_fft_bound():
     # Random inputs almost never reach the bound, so it is checked here, in
-    # exact arithmetic, for every transform length dft_mod accepts and
+    # exact arithmetic, for every transform length dft accepts and
     # every modulus width from the default ell (41 bits) to 2**63.
     assert (_EPS, _ROOT_ERR) == (2.0**-53, 2.0**-51)
     above, below = Fraction(22360679775, 10**10), Fraction(2236067977, 10**9)
@@ -426,7 +435,7 @@ def test_dft_mod_exact_at_worst_magnitude(which, big_ring):
     z = [int(x) for x in ring.roots_q1]
     u = np.array([worst * z[k * (k - 1) // 2 % Q] % ell for k in range(Q)],
                  dtype=np.uint64)
-    assert [int(x) for x in ring.dft_mod(u)] == naive_dft(ring, u)
+    assert [int(x) for x in ring.dft(u)] == naive_dft(ring, u)
 
 
 # sha256 of the exact Gauss tables (uint64, little-endian) as the
