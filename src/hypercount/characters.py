@@ -157,6 +157,10 @@ def binom(A: MultChar, B: MultChar, ring=None) -> CharValue:
 # let a whole column binom(T^(m0+j), T^(n0+j)), j = 0..q-2, be filled from
 # the Gauss table in O(q); the direct ``binom`` above stays definitional
 # and the test suite cross-checks the two routes against each other.
+# Both Gauss rows are rotations of the table: G_{m0+j} rolls it left by
+# m0, and G_{-(n0+j)} rolls the reversed table, whose entry j is
+# G_{-(j+1)}, right by 1 - n0.  The sign (-1)^(m0+j) negates every other
+# entry of the scaled product in place, which is exact on both rings.
 # ---------------------------------------------------------------------------
 
 
@@ -178,15 +182,10 @@ def binom_column(ctx: FieldCtx, m0: int, n0: int, ring=None) -> np.ndarray:
         nums[(-m0) % Q] = q - 2
         out = ring.rational_vec(nums, q)
     else:
-        ga = np.roll(G, -m0)                       # G_{m0+j}
-        grev = G[(-np.arange(Q)) % Q]              # G_{-j}
-        gb = np.roll(grev, -n0)                    # G_{-(n0+j)}
-        scalar = G[(n0 - m0) % Q]
-        terms = ring.mul_vec(ring.mul_vec(ga, gb),
-                             np.broadcast_to(scalar, (Q,)))
-        # Divide by q^2 and apply the alternating sign (-1)^(m0+j).
-        out = ring.negate_where((np.arange(Q) + m0) % 2 == 1,
-                                ring.scale(terms, 1, q * q))
+        terms = ring.mul_vec(np.roll(G, -m0), np.roll(G[::-1], 1 - n0))
+        terms = ring.mul_vec(terms, G[(n0 - m0) % Q], out=terms)
+        out = ring.scale(terms, 1, q * q)
+        ring.negate(out[(m0 + 1) % 2::2])
 
     out.setflags(write=False)
     ring._binom_cache[key] = out

@@ -18,11 +18,16 @@ this needs are here too: :func:`is_prime`, :func:`prime_factors` and
 The construction is linear algebra over F_p: multiplication by x modulo
 the modulus f is the e x e companion matrix C of f acting on coefficient
 rows, and by an element it is sum_j c_j·C^j.  Rabin's test on powers of C
-finds the modulus, and powers of an element's matrix its order.  The
-exponent table doubles at each step: the rows of g^0, ..., g^(s-1) times
-the matrix of g^s are the rows of g^s, ..., g^(2s-1).  A prime field runs
-the same fill with [[g]], the companion matrix of x - g.  Entries are
-int64 below p, so a product entry is at most e·p^2 < 2^40 in the budget.
+finds the modulus.  The generator search stacks the matrices of a batch of
+candidates (batches double in size) and raises the stack to (q-1)/r for
+each prime r | q-1 by square-and-multiply.  The exponent table doubles at
+each step: the rows of g^0, ..., g^(s-1) times the matrix of g^s are the
+rows of g^s, ..., g^(2s-1).  A prime field runs the same fill with [[g]],
+the companion matrix of x - g.  Entries are int64 below p, so a product
+entry is at most e·p^2 < 2^40 in the budget.  No code is split into
+digits by division: the digit table broadcasts the digit range along each
+axis of the p x ... x p grid of codes, and the trace (linear in the
+digits) and the code of 1 - x are outer sums of length-p digit tables.
 
 All tables are built eagerly: ``exp_table[i] = g**i``, its inverse
 ``log_table``, the F_p-valued trace of every element, and the discrete log
@@ -100,14 +105,19 @@ def _coeffs(code: int, p: int, e: int) -> tuple[int, ...]:
 
 
 def _matpow(m: np.ndarray, n: int, p: int) -> np.ndarray:
-    """m**n mod p by square-and-multiply, for n >= 0."""
-    out = np.eye(len(m), dtype=np.int64)
+    """m**n mod p by square-and-multiply, for n >= 0; m may be a stack."""
+    out = np.eye(m.shape[-1], dtype=np.int64)
     while n:
         if n & 1:
             out = out @ m % p
         m = m @ m % p
         n >>= 1
     return out
+
+
+def _digit_sum(tables: list) -> np.ndarray:
+    """Entry c_0 + c_1·p + ... holds tables[0][c_0] + tables[1][c_1] + ..."""
+    return reduce(lambda low, t: np.add.outer(t, low).ravel(), tables)
 
 
 def _companion(f: tuple[int, ...], p: int) -> np.ndarray:
@@ -173,21 +183,24 @@ class FieldCtx:
         log_table = np.full(self.q, -1, dtype=np.int64)
         log_table[exp_table] = np.arange(self.q - 1, dtype=np.int64)
         self.log_table = log_table
+        digit = np.arange(p, dtype=np.int64)
+        pows = p ** np.arange(e, dtype=np.int64)
+        self._digits = self._pows = None
         if e > 1:
-            pows = p ** np.arange(e, dtype=np.int64)
-            codes = np.arange(self.q, dtype=np.int64)
-            self._digits = (codes[:, None] // pows[None, :]) % p
             self._pows = pows
-            # tr(x^j) = sum_i (x^j)^(p^i) lies in F_p, so its code is the
-            # trace itself; the trace of any code is linear in its digits.
-            conjugates = (self.pow_elem(pows, p**i) for i in range(e))
-            self.trace_table = self._digits @ reduce(self.add, conjugates) % p
-        else:
-            self._digits = None
-            self._pows = None
-            self.trace_table = np.arange(self.q, dtype=np.int64)
-        one = self.sub(np.int64(1), exp_table)
-        self.one_minus_log = log_table[one]
+            self._digits = np.empty((self.q, e), dtype=np.int64)
+            by_digit = self._digits.reshape((p,) * e + (e,))
+            for i in range(e):  # axis e-1-i of by_digit is digit i
+                by_digit[..., i] = digit.reshape((p,) + (1,) * i)
+        # tr(x^j) = sum_i (x^j)^(p^i) lies in F_p, so its code is the trace
+        # itself; the trace of any code is linear in its digits.
+        conjugates = (self.pow_elem(pows, p**i) for i in range(e))
+        traces = reduce(self.add, conjugates)
+        self.trace_table = _digit_sum([digit * t % p for t in traces]) % p
+        # 1 - x has digit 0 equal to 1 - c_0 and digit i > 0 equal to -c_i.
+        one_minus = _digit_sum([(int(i == 0) - digit) % p * w
+                                for i, w in enumerate(pows)])
+        self.one_minus_log = log_table[one_minus[exp_table]]
 
     # -- arithmetic on codes (accept and return ints or numpy arrays) ------
 
@@ -284,11 +297,18 @@ def _find_generator(p: int, e: int, c: np.ndarray) -> tuple[int, np.ndarray]:
     powers = list(accumulate([c] * (e - 1), lambda a, b: a @ b % p,
                              initial=eye))
     factors = prime_factors(q - 1)
-    for code in range(2, q):
-        m = np.tensordot(_coeffs(code, p, e), powers, 1) % p
-        if not any(np.array_equal(_matpow(m, (q - 1) // r, p), eye)
-                   for r in factors):
-            return code, m
+    start, size = 2, 64
+    while True:  # a generator exists, so some batch below q holds it
+        codes = np.arange(start, min(start + size, q))
+        mats = np.tensordot(codes[:, None] // p ** np.arange(e) % p,
+                            powers, 1) % p
+        full = np.ones(len(codes), dtype=bool)
+        for r in factors:
+            full &= ~(_matpow(mats, (q - 1) // r, p) == eye).all(axis=(1, 2))
+        if full.any():
+            i = int(np.argmax(full))
+            return int(codes[i]), mats[i]
+        start, size = start + size, 2 * size
 
 
 @lru_cache(maxsize=None)

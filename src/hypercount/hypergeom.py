@@ -107,7 +107,8 @@ def coefficient_vector(ctx: FieldCtx, top_indices: tuple[int, ...],
     for column in zip(key[0], (0, *key[1])):
         factor = binom_column(ctx, *column, ring)
         ring._binom_cache.pop(column, None)
-        coeffs = factor if coeffs is None else ring.mul_vec(coeffs, factor)
+        coeffs = (np.array(factor) if coeffs is None  # one owned buffer
+                  else ring.mul_vec(coeffs, factor, out=coeffs))
     coeffs.setflags(write=False)
     ring._hgf_cache[key] = coeffs
     return coeffs

@@ -26,7 +26,7 @@ interchangeable backends realize this ring:
 Scalar values are wrapped in :class:`CharValue`; bulk kernels work on raw
 numpy arrays through the ring's vector helpers (``mul_vec``, ``sum_vec``,
 ``sum_rows``, ``matmul``, ``dft``, ``root_unity_vec``, ``rational_vec``,
-``scale``, ``negate_where``, ``mismatches``, ``unit_gauss``,
+``scale``, ``negate``, ``mismatches``, ``unit_gauss``,
 ``q_pow_unit``) to keep hot loops free of per-element wrappers.  Both
 rings implement every helper, so no kernel branches on the backend.
 """
@@ -239,8 +239,9 @@ class ComplexRing:
     def theta_root_vec(self, ts) -> np.ndarray:
         return self.roots_p[np.asarray(ts) % self.ctx.p]
 
-    def mul_vec(self, u, v) -> np.ndarray:
-        return u * v
+    def mul_vec(self, u, v, out=None) -> np.ndarray:
+        """Elementwise product, into out if given (out may be u or v)."""
+        return np.multiply(u, v, out=out)
 
     def sum_vec(self, u):
         return np.sum(u)
@@ -265,9 +266,9 @@ class ComplexRing:
             u = u / den
         return u
 
-    def negate_where(self, mask, u) -> np.ndarray:
-        """u with the entries where mask is true negated."""
-        return u * np.where(mask, -1.0, 1.0)
+    def negate(self, u) -> None:
+        """Negate the writable payload array u in place."""
+        np.negative(u, out=u)
 
     def mismatches(self, u, v, scale: float = 1.0):
         """Flat indices where u and v differ, and the worst residual, both
@@ -533,27 +534,31 @@ class ResidueRing:
     def theta_root_vec(self, ts) -> np.ndarray:
         return self.roots_p[np.asarray(ts) % self.ctx.p]
 
-    def mul_vec(self, u, v) -> np.ndarray:
-        """Elementwise modular product of residue arrays."""
+    def mul_vec(self, u, v, out=None) -> np.ndarray:
+        """Elementwise modular product of residue arrays, into out if given
+        (out may be u or v)."""
         u = np.asarray(u, dtype=np.uint64)
         v = np.asarray(v, dtype=np.uint64)
+        if out is None:
+            out = np.empty(np.broadcast_shapes(u.shape, v.shape),
+                           np.uint64 if self._use_numpy else object)
         if not self._use_numpy:
             ub, vb = np.broadcast_arrays(u, v)
-            flat = [(int(a) * int(b)) % self.ell
-                    for a, b in zip(np.ravel(ub), np.ravel(vb))]
-            return np.array(flat, dtype=object).reshape(ub.shape)
+            out.flat = [(int(a) * int(b)) % self.ell
+                        for a, b in zip(np.ravel(ub), np.ravel(vb))]
+            return out
         ell = self.ell
         # Float-assisted Barrett-style reduction: the float64 quotient is off
         # by at most one for ell < 2**50, and the uint64 products wrap
         # identically mod 2**64, so one correction pass fixes the result.
+        quot = np.floor(np.multiply(u, v, dtype=np.float64) / ell)
         with np.errstate(over="ignore"):
-            quot = np.floor(u.astype(np.float64) * v.astype(np.float64) / ell)
-            r = np.ascontiguousarray(
-                u * v - quot.astype(np.uint64) * np.uint64(ell)
-            ).view(np.int64)
-        r = np.where(r < 0, r + ell, r)
-        r = np.where(r >= ell, r - ell, r)
-        return r.astype(np.uint64)
+            np.multiply(u, v, out=out)
+            out -= quot.astype(np.uint64) * np.uint64(ell)
+        r = out.view(np.int64)
+        np.add(r, ell, out=r, where=r < 0)
+        np.subtract(r, ell, out=r, where=r >= ell)
+        return out
 
     def sum_vec(self, u):
         """Modular sum of a residue array (any shape, summed flat)."""
@@ -644,9 +649,9 @@ class ResidueRing:
             return u * c % self.ell
         return self.mul_vec(u, np.uint64(c))
 
-    def negate_where(self, mask, u) -> np.ndarray:
-        """u with the entries where mask is true negated."""
-        return np.where(mask, (self.ell - u) % self.ell, u).astype(np.uint64)
+    def negate(self, u) -> None:
+        """Negate the writable residue array u in place."""
+        np.subtract(np.uint64(self.ell), u, out=u, where=u != 0)
 
     def mismatches(self, u, v, scale: float = 1.0):
         """Flat indices where u and v differ, and the worst residual (0/1)."""

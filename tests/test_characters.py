@@ -164,6 +164,45 @@ def test_binom_column_matches_definitional_binom(p, e, backend):
             assert ring.wrap(col[j]).isclose(direct), (m0, n0, j)
 
 
+def gather_binom_column(ctx, m0, n0, ring):
+    """binom_column as it was first written: the G_{-(n0+j)} row by an
+    index gather and the sign by a multiply (float) or a masked negation
+    (exact), off the diagonal."""
+    Q, q = ctx.q - 1, ctx.q
+    G = ring.gauss_array
+    ga = np.roll(G, -m0)
+    gb = np.roll(G[(-np.arange(Q)) % Q], -n0)
+    terms = ring.mul_vec(ring.mul_vec(ga, gb),
+                         np.broadcast_to(G[(n0 - m0) % Q], (Q,)))
+    scaled = ring.scale(terms, 1, q * q)
+    odd = (np.arange(Q) + m0) % 2 == 1
+    if ring.backend == "float":
+        return scaled * np.where(odd, -1.0, 1.0)
+    return np.where(odd, (ring.ell - scaled) % ring.ell, scaled)
+
+
+@pytest.mark.parametrize("p,e", [(601, 1), (3, 5)])
+def test_binom_column_matches_gather_reference(p, e, backend):
+    ctx = build_field(p, e)
+    ring = get_ring(ctx, backend)
+    Q = ctx.q - 1
+    rng = np.random.default_rng(12)
+    pairs = [(Q - 1, 5), (7, 0), (Q - 1, 0), (3, Q - 1), (0, Q - 1),
+             *rng.integers(0, Q, size=(20, 2)).tolist()]
+    for m0, n0 in pairs:
+        if m0 == n0:
+            continue
+        col = binom_column(ctx, m0, n0, ring)
+        ref = gather_binom_column(ctx, m0, n0, ring)
+        assert col.dtype == ref.dtype and col.shape == ref.shape
+        assert col.tobytes() == ref.tobytes(), (m0, n0)
+    for m in (0, 1, Q // 2, Q - 1):  # the diagonal, -1/q + [j = -m]
+        col = binom_column(ctx, m, m, ring)
+        nums = np.full(Q, -1)
+        nums[(-m) % Q] = ctx.q - 2
+        assert col.tobytes() == ring.rational_vec(nums, ctx.q).tobytes()
+
+
 def test_binom_column_is_cached_and_frozen(f13, backend):
     ring = get_ring(f13, backend)
     col = binom_column(f13, 2, 5, ring)

@@ -1,5 +1,6 @@
 """Command-line contract: exit codes, formats, determinism, schema."""
 
+import hashlib
 import json
 import math
 import os
@@ -168,6 +169,21 @@ def test_sweep_is_byte_identical_for_fixed_seed(capsys):
                                "--samples", "5", "--seed", "8",
                                "--format", "csv"))
     assert out3 != out1  # the seed really drives the sampling
+
+
+# sha256 of the exact sweep's stdout.  Exact output does not depend on the
+# platform or on which route (direct sum or cached spectrum) a series took;
+# float output is not pinned, as numpy's FFTs differ in the last bits
+# between releases.
+EXACT_SWEEP_SHA256 = (
+    "72e87e9f3a8cfadbb62a9ddf093bc932f24db3f6ac1574e8ce63aba649ccfd64")
+
+
+def test_exact_sweep_is_pinned(capsys):
+    code, out, _ = run(capsys, "sweep", "--q-max", "200", "--samples", "40",
+                       "--backend", "exact", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == EXACT_SWEEP_SHA256
 
 
 def test_sweep_json_validates(capsys):

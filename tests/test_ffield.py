@@ -237,15 +237,23 @@ def test_exp_log_roundtrip(f25):
         dlog(f25, 0)
 
 
-def test_one_minus_log_table(f9):
-    for i in range(f9.q - 1):
-        gi = int(f9.exp_table[i])
-        one_minus = f9.sub(1, gi)
-        if i == 0:
-            assert one_minus == 0
-            assert f9.one_minus_log[i] == -1
-        else:
-            assert f9.one_minus_log[i] == dlog(f9, one_minus)
+EXTENSION_FIELDS = [(p, e) for p, e, *_ in PINNED_FIELDS if e > 1]
+
+
+def test_one_minus_log_table():
+    # 1 - g^i by digit arithmetic (ctx.sub, checked against digits taken
+    # by division), where the field builds its table of 1 - x from
+    # per-digit tables.
+    for p, e in EXTENSION_FIELDS:
+        ctx = build_field(p, e)
+        one_minus = ctx.sub(np.int64(1), ctx.exp_table)
+        digits = ctx.exp_table[:, None] // p ** np.arange(e) % p
+        digits = (np.eye(1, e, dtype=np.int64) - digits) % p
+        assert np.array_equal(digits @ p ** np.arange(e), one_minus)
+        assert np.flatnonzero(one_minus == 0).tolist() == [0]
+        assert ctx.one_minus_log[0] == -1
+        assert np.array_equal(ctx.exp_table[ctx.one_minus_log[1:]],
+                              one_minus[1:]), (p, e)
 
 
 def test_trace_is_frobenius_sum(f25):
@@ -266,7 +274,7 @@ def test_trace_is_additive_and_balanced(f9):
     assert set(counts.values()) == {f9.q // f9.p}
 
 
-@pytest.mark.parametrize("p,e", [(3, 2), (3, 5), (7, 3), (5, 4)])
+@pytest.mark.parametrize("p,e", sorted({*EXTENSION_FIELDS, (7, 3), (5, 4)}))
 def test_trace_table_is_the_conjugate_sum_everywhere(p, e):
     # tr(u) = u + u^p + ... + u^(p^(e-1)) over the whole table, where the
     # field builds it from the basis monomials only.
