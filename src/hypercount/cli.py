@@ -12,7 +12,9 @@ Three subcommands:
   Davenport–Hasse products and progressions, count decomposition) per
   field.
 
-Exit codes: 0 success/agreement, 2 any mismatch, 1 usage error.
+Exit codes: 0 success/agreement, 2 any mismatch, 1 usage error, 141
+(128 + SIGPIPE, as for a tool the signal ends) when standard output is
+closed before the report is written, e.g. by ``| head``.
 
 Output formats: ``json`` (one document, schema shipped at
 ``schemas/report.schema.json``), ``csv`` (sweep rows with the fixed
@@ -59,6 +61,7 @@ from .values import DEFAULT_TOLERANCE, get_ring
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_MISMATCH = 2
+EXIT_BROKEN_PIPE = 141
 
 CSV_HEADER = "q,d,family,a,b,n_thm,n_oracle,match,elapsed_us"
 
@@ -443,6 +446,18 @@ def _config_from(args) -> RunConfig:
 
 
 def main(argv=None) -> int:
+    try:
+        status = _run(argv)
+        sys.stdout.flush()   # a closed pipe raises here, not at shutdown
+        return status
+    except BrokenPipeError:
+        # Point stdout at devnull, so that the flush at shutdown cannot
+        # raise again and print a traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+
+
+def _run(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -16,7 +16,8 @@ Everything the closed-form counts are tested against lives here:
   progressions of indices; :func:`davenport_hasse_products` checks the
   relation for every psi at once.  Each product of m Gauss factors is
   one (m, q-1) gather multiplied down in pairs, ceil(log2 m) ``mul_vec``
-  calls.
+  calls, and a verifier takes the relation's constant side, the product
+  at psi = T^0, from the same gather.
 * :func:`decompose_theta_sum` — the q·N = q² + (sum over z) + (sum over
   y,z) + (sum over x,z) + (sum over x,y,z) decomposition obtained by
   counting curve points with additive characters, each term computed by
@@ -213,7 +214,8 @@ def verify_lemmas(ctx: FieldCtx, ring=None) -> list[IdentityReport]:
     is.  The Jacobi sums are still their defining sums, taken for a block
     of m and every n at once as the matrix product of chars with
     terms[i, n] = T^-n(1 - g^i): no transform, so the check shares no
-    kernel with the Gauss table.  Mismatches are reported m-major, n
+    kernel with the Gauss table.  terms is built in the split form
+    ``ring.matmul`` takes, once.  Mismatches are reported m-major, n
     ascending.
     """
     ring = get_ring(ctx, "exact") if ring is None else ring
@@ -233,13 +235,15 @@ def verify_lemmas(ctx: FieldCtx, ring=None) -> list[IdentityReport]:
         [(len(nz), *_compare(ring, lhs, rhs, lambda i: int(nz[i]),
                              scale=float(ctx.q)))]))
 
-    # At least Q/16 rows a block, so that an exact product's limb split of
-    # terms serves many rows once q is large.
+    # At least Q/16 rows a block, so that few products share the work of
+    # folding their limb products once q is large.
     rows = max(1, _BLOCK // Q, Q // 16)
-    terms = np.empty((Q, Q), dtype=roots.dtype)
+    # The right operand of every Jacobi product, split for ring.matmul once
+    # and a row block at a time, so that it is never held twice.
+    terms = ring.split_empty((Q, Q))
     for lo in range(0, Q, rows):
         oml = ctx.one_minus_log[lo:lo + rows, None]
-        terms[lo:lo + rows] = roots[oml * neg % Q]
+        ring.split(roots[oml * neg % Q], out=terms[lo:lo + rows])
     terms[0] = 0                 # x = 1, where 1 - x = 0
     jacobi, by_char, col_sums, theta = [], [], [], []
     for lo in range(0, Q, rows):
@@ -318,10 +322,16 @@ def verify_davenport_hasse(ctx: FieldCtx, m: int, psi_index: int,
     psi_index %= Q
     reports = []
 
-    # Product relation at this (m, psi).
+    # Entry l of the progression product along t = 1 is the product of
+    # G(T^(l + j·(q-1)/m)) over j < m, so its entries psi_index and 0 are
+    # the two sides' products of the relation.
+    ls = np.arange(Q, dtype=np.int64)
     js = np.arange(m, dtype=np.int64) * (Q // m)
-    lhs = ring.wrap(_product_down(ring, G[(js + psi_index) % Q]))
-    rhs = ring.wrap(_product_down(ring, G[js]))
+    up = _product_down(ring, G[(ls + js[:, None]) % Q])
+
+    # Product relation at this (m, psi).
+    lhs = ring.wrap(up[psi_index])
+    rhs = ring.wrap(up[0])
     m_inv_pow = ctx.pow_elem(ctx.inv(ctx.from_int(m)), m)
     twist = ring.root_unity(psi_index * dlog(ctx, m_inv_pow))
     # The right side has m + 1 Gauss factors to the left side's m.
@@ -336,7 +346,6 @@ def verify_davenport_hasse(ctx: FieldCtx, m: int, psi_index: int,
     if m == 1:
         reports.append(IdentityReport("gauss_product_progression", 0, 0, 0.0))
         return reports
-    ls = np.arange(Q, dtype=np.int64)
     k0 = dlog(ctx, ctx.pow_elem(ctx.from_int(m), m))
     base = ring.mul_vec(roots[(-k0 * ls) % Q], G[(m * ls) % Q])
     # Both sides have m Gauss factors, so the power of q is taken in the
@@ -349,11 +358,9 @@ def verify_davenport_hasse(ctx: FieldCtx, m: int, psi_index: int,
         scalar = sign * ring.wrap(ring.q_pow_unit((m - 2) // 2)) \
             * ring.wrap(G[Q // 2])
     rhs_vec = ring.mul_vec(base, scalar.payload)
-    chunks = []
-    for t in (1, -1):
-        lhs_vec = _product_down(ring, G[(ls + t * js[:, None]) % Q])
-        chunks.append((Q, *_compare(ring, lhs_vec, rhs_vec,
-                                    lambda i: (i, t))))
+    down = _product_down(ring, G[(ls - js[:, None]) % Q])
+    chunks = [(Q, *_compare(ring, lhs_vec, rhs_vec, lambda i, t=t: (i, t)))
+              for t, lhs_vec in ((1, up), (-1, down))]
     reports.append(_merge("gauss_product_progression", chunks))
     return reports
 
@@ -382,7 +389,8 @@ def davenport_hasse_products(ctx: FieldCtx, m: int,
     psis = np.arange(Q, dtype=np.int64)
 
     lhs = _product_down(ring, G[(psis + js[:, None]) % Q])
-    const = -ring.wrap(_product_down(ring, G[js]))
+    # The constant product over chi alone is the entry at psi = T^0.
+    const = -ring.wrap(lhs[0])
     k1 = dlog(ctx, ctx.pow_elem(ctx.inv(ctx.from_int(m)), m))
     rhs = ring.mul_vec(G[(m * psis) % Q], ring.roots_q1[(k1 * psis) % Q])
     # The right side has m + 1 Gauss factors to the left side's m.

@@ -25,9 +25,10 @@ interchangeable backends realize this ring:
 
 Scalar values are wrapped in :class:`CharValue`; bulk kernels work on raw
 numpy arrays through the ring's vector helpers (``mul_vec``, ``sum_vec``,
-``sum_rows``, ``matmul``, ``dft``, ``root_unity_vec``, ``rational_vec``,
-``scale``, ``negate``, ``mismatches``, ``unit_gauss``,
-``q_pow_unit``) to keep hot loops free of per-element wrappers.  Both
+``sum_rows``, ``matmul`` with its ``split`` operands, ``dft``,
+``root_unity_vec``, ``rational_vec``, ``scale``, ``negate``,
+``mismatches``, ``unit_gauss``, ``q_pow_unit``) to keep hot loops free
+of per-element wrappers.  Both
 rings implement every helper, so no kernel branches on the backend.
 """
 
@@ -77,8 +78,8 @@ _FOLD_BLOCK = 2**16
 _MATMUL_LIMB_BITS = 21
 _MATMUL_INNER = 2**11
 
-#: Most float64 limb entries of the right operand split at once by
-#: :meth:`ResidueRing.matmul`.
+#: Most limb entries of the right operand that :meth:`ResidueRing.matmul`
+#: upcasts to float64 at once.
 _MATMUL_BLOCK = 2**16
 
 
@@ -250,6 +251,18 @@ class ComplexRing:
         """Per-row sums of a 2-D payload matrix."""
         return np.sum(mat, axis=1)
 
+    def split_empty(self, shape) -> np.ndarray:
+        """An uninitialised right operand of :meth:`matmul`."""
+        return np.empty(shape, dtype=np.complex128)
+
+    def split(self, b, out=None) -> np.ndarray:
+        """The right operand of :meth:`matmul` as it takes it: b itself, or
+        a copy into out if given."""
+        if out is None:
+            return b
+        out[...] = b
+        return out
+
     def matmul(self, a, b) -> np.ndarray:
         """Matrix product of payload arrays (b may be a vector)."""
         return np.matmul(a, b)
@@ -372,6 +385,14 @@ class ResidueRing:
     enough to push ell to ``_FLOAT_MULMOD_LIMIT`` raises
     :class:`ExactModulusTooLarge` instead of falling back.
 
+    On that path :meth:`mul_vec` reduces in one pass.  For residues u, v
+    below ell < 2**50, uv/ell < 2**50 and the float64 value of
+    u·v·(1/ell) carries three roundings, so it lies within about
+    3·2**-53·2**50 = 3/8 of uv/ell, and its ``rint`` is floor(uv/ell) or
+    one more.  So uv - quot·ell, computed in wrapping uint64 arithmetic,
+    lies in [-ell, ell), and adding ell where it is negative gives the
+    residue.
+
     An explicit ``d_max`` instead sizes ell above 4·q^(ceil(d_max/2) + 1)
     and falls back to object-dtype arithmetic once ell reaches 2**50.
 
@@ -416,8 +437,12 @@ class ResidueRing:
     2**11 terms.  Each partial sum is then below 2**11·(2**21)² = 2**53, so
     float64 holds it exactly.  It is reduced mod ell, the products of limbs
     i and j with equal i + j are added, and ``mul_vec`` folds those sums
-    back with the powers 2**(21(i + j)) mod ell.  Each operand is split
-    into limbs once per call, the right one in column blocks.
+    back with the powers 2**(21(i + j)) mod ell.  The left operand is
+    split once per call.  The right one is split once by :meth:`split`,
+    by the caller when many products share it: its limbs are held as
+    float32, which is exact below 2**24 and, at two limbs, as small as the
+    uint64 residues, and each product upcasts them to float64 one column
+    block at a time.
     """
 
     backend = "exact"
@@ -447,6 +472,9 @@ class ResidueRing:
         w_q1 = pow(self.w, p, self.ell)       # image of zeta_{q-1}
         w_p = pow(self.w, q - 1, self.ell)    # image of zeta_p
         self._use_numpy = self.ell < _FLOAT_MULMOD_LIMIT
+        self._ell_u64 = np.uint64(self.ell)
+        self._ell_recip = 1.0 / self.ell
+        self._limbs = -(-self.ell.bit_length() // _MATMUL_LIMB_BITS)
         self.roots_q1, self.roots_p = self._power_tables((w_q1, q - 1),
                                                         (w_p, p))
         self._inv_q = pow(q, -1, self.ell)
@@ -539,25 +567,23 @@ class ResidueRing:
         (out may be u or v)."""
         u = np.asarray(u, dtype=np.uint64)
         v = np.asarray(v, dtype=np.uint64)
-        if out is None:
-            out = np.empty(np.broadcast_shapes(u.shape, v.shape),
-                           np.uint64 if self._use_numpy else object)
         if not self._use_numpy:
+            if out is None:
+                out = np.empty(np.broadcast_shapes(u.shape, v.shape), object)
             ub, vb = np.broadcast_arrays(u, v)
             out.flat = [(int(a) * int(b)) % self.ell
                         for a, b in zip(np.ravel(ub), np.ravel(vb))]
             return out
-        ell = self.ell
-        # Float-assisted Barrett-style reduction: the float64 quotient is off
-        # by at most one for ell < 2**50, and the uint64 products wrap
-        # identically mod 2**64, so one correction pass fixes the result.
-        quot = np.floor(np.multiply(u, v, dtype=np.float64) / ell)
-        with np.errstate(over="ignore"):
-            np.multiply(u, v, out=out)
-            out -= quot.astype(np.uint64) * np.uint64(ell)
-        r = out.view(np.int64)
-        np.add(r, ell, out=r, where=r < 0)
-        np.subtract(r, ell, out=r, where=r >= ell)
+        # One reduction pass (see the class docstring): the rounded float
+        # quotient is floor(uv/ell) or one more, so uv - quot·ell, taken in
+        # wrapping uint64, lies in [-ell, ell); a wrapped negative r is the
+        # larger of r and r + ell.  Integer ufuncs never check overflow, and
+        # asarray keeps the product of two scalars an array.
+        quot = np.rint(np.multiply(u, v, dtype=np.float64) * self._ell_recip)
+        out = np.asarray(np.multiply(u, v, out=out))
+        out -= np.multiply(quot, self._ell_u64, dtype=np.uint64,
+                           casting="unsafe")
+        np.minimum(out, out + self._ell_u64, out=out)
         return out
 
     def sum_vec(self, u):
@@ -585,40 +611,53 @@ class ResidueRing:
                                 dtype=np.uint64)) % ell
         return out
 
+    def split_empty(self, shape) -> np.ndarray:
+        """An uninitialised right operand of :meth:`matmul` of the given
+        shape, (K, N) or (K,), in split form, to be filled a row block at a
+        time by :meth:`split`."""
+        return np.empty((shape[0], self._limbs, *shape[1:]), dtype=np.float32)
+
+    def split(self, b, out=None) -> np.ndarray:
+        """The right operand b of :meth:`matmul` split into limbs: entry
+        [k, i] of a vector's split, or [k, i, n] of a matrix's, is limb i
+        of b[k], or of b[k, n].  float32 holds a 21-bit limb exactly.
+        Written into out, rows of a :meth:`split_empty` array, if given."""
+        b = np.asarray(b, dtype=np.uint64)
+        if out is None:
+            out = self.split_empty(b.shape)
+        mask = np.uint64((1 << _MATMUL_LIMB_BITS) - 1)
+        for i in range(self._limbs):
+            out[:, i] = (b >> np.uint64(_MATMUL_LIMB_BITS * i)) & mask
+        return out
+
     def matmul(self, a, b) -> np.ndarray:
         """Exact matrix product mod ell of residue arrays: a is (M, K) and
-        b is (K, N) or a length-K vector.
+        b is (K, N), a length-K vector, or the :meth:`split` of either.
 
         Limb products run as float64 BLAS products over inner blocks of
         ``_MATMUL_INNER``; see the class docstring for why they are exact.
-        b is split into limbs in column blocks of about ``_MATMUL_BLOCK``
-        entries; the temporaries of a block hold about (1 + limbs·M/K) times
-        that many floats.
+        b is split once (unless it comes split) and its limbs are upcast to
+        float64 in column blocks of about ``_MATMUL_BLOCK`` entries; the
+        temporaries of a block hold about (1 + limbs·M/K) times that many
+        floats.
         """
-        a = np.asarray(a, dtype=np.uint64)
-        b = np.asarray(b, dtype=np.uint64)
-        vec = b.ndim == 1
+        if getattr(b, "dtype", None) != np.float32:
+            b = self.split(b)
+        vec = b.ndim == 2
         if vec:
-            b = b[:, None]
-        (M, K), N = a.shape, b.shape[1]
-        limbs = -(-self.ell.bit_length() // _MATMUL_LIMB_BITS)
-        mask = np.uint64((1 << _MATMUL_LIMB_BITS) - 1)
-        shifts = [np.uint64(_MATMUL_LIMB_BITS * i) for i in range(limbs)]
+            b = b[:, :, None]
+        al = self.split(a)
+        (M, limbs, K), N = al.shape, b.shape[2]
         # Row i·M + r of al is limb i of a[r].
-        al = np.empty((limbs, M, K))
-        for i, shift in enumerate(shifts):
-            al[i] = (a >> shift) & mask
+        al = al.transpose(1, 0, 2).astype(np.float64, order="C")
         al = al.reshape(limbs * M, K)
-        ell = np.uint64(self.ell)
+        ell = self._ell_u64
         out = np.empty((M, N), dtype=np.uint64)
         cols = max(1, _MATMUL_BLOCK // (limbs * K))
         for c in range(0, N, cols):
             # Column j·n + c' of bl is limb j of b[:, c + c'].
-            block = b[:, c:c + cols]
-            n = block.shape[1]
-            bl = np.empty((K, limbs, n))
-            for j, shift in enumerate(shifts):
-                bl[:, j] = (block >> shift) & mask
+            bl = b[:, :, c:c + cols].astype(np.float64)
+            n = bl.shape[2]
             bl = bl.reshape(K, limbs * n)
             # sums[s] gathers the limb pairs (i, j) with i + j = s.
             sums = np.zeros((2 * limbs - 1, M, n), dtype=np.uint64)

@@ -370,3 +370,19 @@ def test_cli_runs_with_sympy_blocked(argv):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_closed_stdout_exits_cleanly(fmt):
+    # Like `hypercount sweep ... | head -c 0`: the reader is gone before the
+    # report is written, so every write to stdout fails with EPIPE.
+    src = Path(hypercount.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hypercount.cli", "sweep", "--q-max", "40",
+         "--samples", "3", "--format", fmt],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    assert proc.wait(timeout=300) == cli.EXIT_BROKEN_PIPE, stderr
+    assert stderr == ""

@@ -168,13 +168,28 @@ def test_nan_gauss_sum_fails_the_product_check(f13):
     assert not rep.passed and rep.mismatch_count > 0
 
 
-def test_corrupt_exact_gauss_sum_fails_the_identity_checks(f13):
-    ring = ResidueRing(f13)
+# Davenport–Hasse cases that fail once G(T^5) over F_13 is off by one, per
+# m: psi with T^5 among the psi·chi (the entries at m = 12 cancel).  Pinned
+# from separate products of each side; fused products must not mix rows.
+DH_FAILURES_G5 = {1: (), 2: (5, 11), 3: (1, 5, 9), 4: (2, 5, 8, 11),
+                  6: (1, 3, 5, 7, 9, 11), 12: ()}
+
+
+@pytest.mark.parametrize("ring_type", [ResidueRing, ComplexRing])
+def test_corrupt_gauss_sum_fails_the_identity_checks(f13, ring_type):
+    ring = ring_type(f13)
     table = ring.gauss_array.copy()
-    table[5] = (int(table[5]) + 1) % ring.ell
+    table[5] = (ring.wrap(table[5]) + 1).payload
     ring._gauss = table
-    rep = davenport_hasse_products(f13, 2, ring)
-    assert not rep.passed and rep.mismatch_count > 0
+    for m, psis in DH_FAILURES_G5.items():
+        rep = davenport_hasse_products(f13, m, ring)
+        assert rep.mismatch_count == len(psis), m
+        assert rep.first_mismatches == tuple((m, psi) for psi in psis), m
+        for psi in range(12):
+            rel = verify_davenport_hasse(f13, m, psi, ring)[0]
+            assert rel.identity == "davenport_hasse_product"
+            assert rel.first_mismatches == (((m, psi),) if psi in psis
+                                            else ()), (m, psi)
     lemmas = {r.identity: r for r in verify_lemmas(f13, ring)}
     assert not lemmas["gauss_reflection"].passed
     assert lemmas["gauss_reflection"].first_mismatches == (5, 7)

@@ -230,17 +230,45 @@ def test_values_close_scales_with_magnitude(f13):
 # Vector kernels
 # ---------------------------------------------------------------------------
 
-def test_mul_vec_matches_python_ints(ring13):
+@pytest.fixture(scope="module")
+def widest_ring():
+    # The widest ell below 2**50 that an explicit d_max gives over any odd
+    # prime power q < 70000: mul_vec's rounded quotient has the least
+    # margin here (its error grows with ell and must stay below 1/2).
+    ring = get_ring(build_field(65519), "exact", d_max=3)
+    assert 2**50 - 2**40 < ring.ell < _FLOAT_MULMOD_LIMIT and ring._use_numpy
+    return ring
+
+
+def assert_products_exact(ring, u, v, out):
+    expect = u.astype(object) * v.astype(object) % ring.ell
+    assert out.dtype == np.uint64 and out.shape == expect.shape
+    assert np.array_equal(out.astype(object), expect)
+
+
+def test_mul_vec_matches_python_ints(ring13, widest_ring):
     rng = np.random.default_rng(5)
-    if ring13.backend == "exact":
-        u = rng.integers(0, ring13.ell, 300).astype(np.uint64)
-        v = rng.integers(0, ring13.ell, 300).astype(np.uint64)
-        out = ring13.mul_vec(u, v)
-        for x, y, z in zip(u, v, out):
-            assert int(z) == int(x) * int(y) % ring13.ell
-    else:
+    if ring13.backend == "float":
         u = rng.standard_normal(300) + 1j * rng.standard_normal(300)
         assert np.allclose(ring13.mul_vec(u, u), u * u)
+        return
+    for ring in (ring13, widest_ring):
+        ell = ring.ell
+        edges = np.array([0, 1, ell - 1, ell - 2, ell // 2, ell // 2 + 1],
+                         dtype=np.uint64)
+        # Random residues, then every pair of edge residues.
+        u = np.concatenate([rng.integers(0, ell, 300, dtype=np.uint64),
+                            np.repeat(edges, edges.size)])
+        v = np.concatenate([rng.integers(0, ell, 300, dtype=np.uint64),
+                            np.tile(edges, edges.size)])
+        assert_products_exact(ring, u, v, ring.mul_vec(u, v))
+        # A column times a row broadcasts to a matrix.
+        assert_products_exact(ring, u[:, None], v[None, :50],
+                              ring.mul_vec(u[:, None], v[None, :50]))
+        # out may be u itself.
+        w = u.copy()
+        assert ring.mul_vec(w, v, out=w) is w
+        assert_products_exact(ring, u, v, w)
 
 
 def test_sum_vec_chunks_are_exact(f13):
@@ -305,6 +333,12 @@ def test_matmul_matches_the_termwise_sum(ring13, m, k, n):
         assert np.array_equal(out, reference_matmul(ring13, a, b))
     else:
         assert np.allclose(out, reference_matmul(ring13, a, b))
+    # b split once, whole or three rows at a time, gives the same product.
+    assert np.array_equal(ring13.matmul(a, ring13.split(b)), out)
+    rows = ring13.split_empty(b.shape)
+    for lo in range(0, k, 3):
+        ring13.split(b[lo:lo + 3], out=rows[lo:lo + 3])
+    assert np.array_equal(ring13.matmul(a, rows), out)
 
 
 def test_matmul_limb_bounds(f13, big_ring):
@@ -319,6 +353,7 @@ def test_matmul_limb_bounds(f13, big_ring):
             b = np.full((k,) if n is None else (k, n), ring.ell - 1,
                         dtype=np.uint64)
             assert np.all(ring.matmul(a, b) == k % ring.ell)
+            assert np.all(ring.matmul(a, ring.split(b)) == k % ring.ell)
 
 
 def test_object_path_matmul(big_ring):
@@ -330,6 +365,8 @@ def test_object_path_matmul(big_ring):
     assert np.array_equal(ring.matmul(a, b), reference_matmul(ring, a, b))
     assert np.array_equal(ring.matmul(a, b[:, 2]),
                           reference_matmul(ring, a, b[:, 2]))
+    assert np.array_equal(ring.matmul(a, ring.split(b)),
+                          reference_matmul(ring, a, b))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 7, 8])
