@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MixedFieldContexts, OrderDoesNotDivide
-from .ffield import FieldCtx, dlog
+from .ffield import FieldCtx, dlog, trace_map
 from .values import CharValue, get_ring
 
 
@@ -113,7 +113,7 @@ def quadratic_sign(ctx: FieldCtx, x: int) -> int:
 def theta(ctx: FieldCtx, alpha: int, ring=None) -> CharValue:
     """The additive character theta(alpha) = zeta_p^tr(alpha)."""
     ring = _default_ring(ctx, ring)
-    return ring.theta_root(int(ctx.trace_table[alpha]))
+    return ring.theta_root(trace_map(ctx, alpha))
 
 
 def gauss_sum(chi: MultChar, ring=None) -> CharValue:
@@ -157,15 +157,29 @@ def binom(A: MultChar, B: MultChar, ring=None) -> CharValue:
 # let a whole column binom(T^(m0+j), T^(n0+j)), j = 0..q-2, be filled from
 # the Gauss table in O(q); the direct ``binom`` above stays definitional
 # and the test suite cross-checks the two routes against each other.
-# Both Gauss rows are rotations of the table: G_{m0+j} rolls it left by
-# m0, and G_{-(n0+j)} rolls the reversed table, whose entry j is
-# G_{-(j+1)}, right by 1 - n0.  The sign (-1)^(m0+j) negates every other
-# entry of the scaled product in place, which is exact on both rings.
+# Both Gauss rows are rotations of the table: G_{m0+j} is G rotated left
+# by m0, and G_{-(n0+j)} is the reversed table, whose entry j is
+# G_{-(j+1)}, rotated right by 1 - n0.  Each rotation is two slice copies,
+# the first into a work array and the second into the output buffer,
+# which then takes the product, the constant G_{n0-m0} and 1/q² in place;
+# the sign (-1)^(m0+j) negates every other entry.  Every float product
+# runs on whole contiguous rows, as numpy's SIMD complex loop computes
+# them: a negative-stride or length-1 operand may take its scalar loop,
+# which can change the last bits.
 # ---------------------------------------------------------------------------
 
 
-def binom_column(ctx: FieldCtx, m0: int, n0: int, ring=None) -> np.ndarray:
-    """Payload array of binom(T^(m0+j), T^(n0+j)) for j = 0..q-2."""
+def binom_column(ctx: FieldCtx, m0: int, n0: int, ring=None,
+                 _out=None) -> np.ndarray:
+    """Payload array of binom(T^(m0+j), T^(n0+j)) for j = 0..q-2.
+
+    Cached on the ring: a hit returns the cached read-only array, a miss
+    a new read-only one.  ``_out`` is for
+    :func:`~hypercount.hypergeom.coefficient_vector` only: a writable
+    payload array of length q-1 that a miss writes into and caches as it
+    is, so the caller must pop ``(m0 % (q-1), n0 % (q-1))`` from the
+    ring's ``_binom_cache`` before it writes into the buffer again.
+    """
     ring = _default_ring(ctx, ring)
     Q = ctx.q - 1
     m0 %= Q
@@ -176,17 +190,27 @@ def binom_column(ctx: FieldCtx, m0: int, n0: int, ring=None) -> np.ndarray:
         return cached
 
     q = ctx.q
-    G = ring.gauss_array
+    column = np.empty_like(ring.roots_q1) if _out is None else _out
     if m0 == n0:
-        nums = np.full(Q, -1, dtype=np.int64)
-        nums[(-m0) % Q] = q - 2
-        out = ring.rational_vec(nums, q)
+        values = ring.rational_vec(np.array([-1, q - 2]), q)
+        column[...] = values[0]
+        column[(-m0) % Q] = values[1]
     else:
-        terms = ring.mul_vec(np.roll(G, -m0), np.roll(G[::-1], 1 - n0))
-        terms = ring.mul_vec(terms, G[(n0 - m0) % Q], out=terms)
-        out = ring.scale(terms, 1, q * q)
-        ring.negate(out[(m0 + 1) % 2::2])
+        G = ring.gauss_array
+        row = np.empty_like(column)
+        row[:Q - m0] = G[m0:]
+        row[Q - m0:] = G[:m0]
+        s = (1 - n0) % Q
+        reverse = G[::-1]
+        column[:s] = reverse[Q - s:]
+        column[s:] = reverse[:Q - s]
+        ring.mul_vec(row, column, out=column)
+        del row
+        ring.mul_vec(column, G[(n0 - m0) % Q], out=column)
+        ring.scale(column, 1, q * q, out=column)
+        ring.negate(column[(m0 + 1) % 2::2])
 
-    out.setflags(write=False)
-    ring._binom_cache[key] = out
-    return out
+    if _out is None:
+        column.setflags(write=False)
+    ring._binom_cache[key] = column
+    return column

@@ -35,7 +35,7 @@ from .characters import (
     trivial_char,
 )
 from .errors import CongruenceViolated, ZeroCoefficient
-from .ffield import FieldCtx
+from .ffield import FieldCtx, check_code
 from .hypergeom import HgfSpec, evaluate_hgf
 from .values import CharValue, get_ring
 
@@ -100,9 +100,7 @@ class CountResult:
 def check_coeffs(ctx: FieldCtx, a: int, b: int) -> None:
     """Refuse a or b unless it is a field-element code in [1, q)."""
     for name, val in (("a", a), ("b", b)):
-        if not 0 <= val < ctx.q:
-            raise ValueError(f"{name}={val} is not a field-element code in "
-                             f"[0, {ctx.q})")
+        check_code(ctx, val, name)
         if val == 0:
             raise ZeroCoefficient(name)
 

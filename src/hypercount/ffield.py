@@ -17,22 +17,27 @@ this needs are here too: :func:`is_prime`, :func:`prime_factors` and
 
 The construction is linear algebra over F_p: multiplication by x modulo
 the modulus f is the e x e companion matrix C of f acting on coefficient
-rows, and by an element it is sum_j c_j·C^j.  Rabin's test on powers of C
-finds the modulus.  The generator search stacks the matrices of a batch of
-candidates (batches double in size) and raises the stack to (q-1)/r for
-each prime r | q-1 by square-and-multiply.  The exponent table doubles at
-each step: the rows of g^0, ..., g^(s-1) times the matrix of g^s are the
-rows of g^s, ..., g^(2s-1).  A prime field runs the same fill with [[g]],
-the companion matrix of x - g.  Entries are int64 below p, so a product
-entry is at most e·p^2 < 2^40 in the budget.  No code is split into
-digits by division: the digit table broadcasts the digit range along each
-axis of the p x ... x p grid of codes, and the trace (linear in the
-digits) and the code of 1 - x are outer sums of length-p digit tables.
+rows, and by an element it is sum_j c_j·C^j.  Both searches stack the
+matrices of a batch of candidates (batches double in size) and test the
+stack at once, each test on the survivors of the last: Rabin's test on
+powers of C finds the modulus, and the generator search raises the stack
+to (q-1)/r for each prime r | q-1 by square-and-multiply.  The exponent
+table doubles at each step: the rows of g^0, ..., g^(s-1) times the
+matrix of g^s are the rows of g^s, ..., g^(2s-1).  A prime field runs the
+same fill on a 1-D table of powers of g.  Matrix entries are integers
+below p held in float64, so products run in BLAS and stay exact (a
+product entry is at most e·p^2 < 2^40 in the budget).  No code is split
+into digits by division: the digit table broadcasts the digit range along
+each axis of the p x ... x p grid of codes, and the trace (linear in the
+digits) and the code of 1 - x are outer sums of length-p digit tables.  A
+prime field needs none of these: its trace is the code and 1 - x is a
+subtraction.
 
 All tables are built eagerly: ``exp_table[i] = g**i``, its inverse
 ``log_table``, the F_p-valued trace of every element, and the discrete log
 of ``1 - g**i`` (used by Jacobi-sum kernels).  A :class:`FieldCtx` is
-immutable after construction and safe to share between threads.
+immutable after construction (its tables are read-only numpy arrays) and
+safe to share between threads.
 """
 
 from __future__ import annotations
@@ -96,7 +101,8 @@ def least_primitive_root(n: int) -> int:
 
 # --------------------------------------------------------------------------
 # Linear algebra over F_p.  Elements of F_p[x]/(f) are coefficient rows,
-# low to high degree; ``row @ M % p`` multiplies by the element of M.
+# low to high degree; ``_mod(row @ M, p)`` multiplies by the element of M.
+# Entries are float64 (see the module docstring).
 # --------------------------------------------------------------------------
 
 
@@ -104,13 +110,29 @@ def _coeffs(code: int, p: int, e: int) -> tuple[int, ...]:
     return tuple((code // p**i) % p for i in range(e))
 
 
+def _mod(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p in place, for a float64 array of integers in [0, 2^40).
+
+    With x = kp + r, (x + 1/2)/p lies at least 1/(2p) from an integer, and
+    its float value errs by at most 2^40/p · 2^-51, so its floor is k.
+    """
+    quot = x + 0.5
+    quot *= 1 / p
+    np.floor(quot, out=quot)
+    quot *= p
+    x -= quot
+    return x
+
+
 def _matpow(m: np.ndarray, n: int, p: int) -> np.ndarray:
-    """m**n mod p by square-and-multiply, for n >= 0; m may be a stack."""
-    out = np.eye(m.shape[-1], dtype=np.int64)
+    """m**n mod p by square-and-multiply, for n >= 0; m may be a stack.
+    The result is float64."""
+    m = np.asarray(m, dtype=np.float64)
+    out = np.eye(m.shape[-1])
     while n:
         if n & 1:
-            out = out @ m % p
-        m = m @ m % p
+            out = _mod(out @ m, p)
+        m = _mod(m @ m, p)
         n >>= 1
     return out
 
@@ -120,31 +142,26 @@ def _digit_sum(tables: list) -> np.ndarray:
     return reduce(lambda low, t: np.add.outer(t, low).ravel(), tables)
 
 
-def _companion(f: tuple[int, ...], p: int) -> np.ndarray:
-    """Matrix C of multiplication by x modulo the monic f: row j holds the
+def _batches(start: int, stop: int, size: int):
+    """The codes start, ..., stop - 1 as arrays whose sizes double."""
+    while start < stop:
+        yield np.arange(start, min(start + size, stop))
+        start, size = start + size, 2 * size
+
+
+def _digit_rows(codes: np.ndarray, p: int, e: int) -> np.ndarray:
+    """Row k holds the e base-p digits of codes[k], low to high."""
+    return codes[:, None] // p ** np.arange(e) % p
+
+
+def _companions(codes: np.ndarray, p: int, e: int) -> np.ndarray:
+    """Companion matrices C of the monic f of degree e whose lower
+    coefficients are the digits of each code: row j of C holds the
     coefficients of x^(j+1) mod f, so C^n multiplies by x^n."""
-    c = np.eye(len(f) - 1, k=1, dtype=np.int64)
-    c[-1] = np.negative(f[:-1]) % p
+    c = np.zeros((len(codes), e, e))
+    c[:, :-1, 1:] = np.eye(e - 1)
+    c[:, -1] = -_digit_rows(codes, p, e) % p
     return c
-
-
-def _is_irreducible(c: np.ndarray, p: int) -> bool:
-    """Rabin's test on the companion matrix C of a monic f of degree e.
-
-    C^(p^e) = C says x^(p^e) = x mod f: f is squarefree and its factors
-    have degrees dividing e, so F_p[x]/(f) is a product of fields whose
-    unit groups have orders dividing p^e - 1.  Then f is irreducible iff,
-    for each prime r | e, x^(p^(e/r)) - x is a unit (no factor has degree
-    dividing e/r), that is, iff its matrix raised to p^e - 1 is I.
-    """
-    e = len(c)
-    if not np.array_equal(_matpow(c, p**e, p), c):
-        return False
-    eye = np.eye(e, dtype=np.int64)
-    return all(
-        np.array_equal(_matpow((_matpow(c, p**(e // r), p) - c) % p,
-                               p**e - 1, p), eye)
-        for r in prime_factors(e))
 
 
 # --------------------------------------------------------------------------
@@ -184,23 +201,31 @@ class FieldCtx:
         log_table[exp_table] = np.arange(self.q - 1, dtype=np.int64)
         self.log_table = log_table
         digit = np.arange(p, dtype=np.int64)
-        pows = p ** np.arange(e, dtype=np.int64)
         self._digits = self._pows = None
-        if e > 1:
-            self._pows = pows
+        if e == 1:
+            # The trace is the identity, and 1 - x needs no digit table.
+            self.trace_table = digit
+            one_minus = 1 - exp_table
+            one_minus %= p
+        else:
+            pows = self._pows = p ** np.arange(e, dtype=np.int64)
             self._digits = np.empty((self.q, e), dtype=np.int64)
             by_digit = self._digits.reshape((p,) * e + (e,))
             for i in range(e):  # axis e-1-i of by_digit is digit i
                 by_digit[..., i] = digit.reshape((p,) + (1,) * i)
-        # tr(x^j) = sum_i (x^j)^(p^i) lies in F_p, so its code is the trace
-        # itself; the trace of any code is linear in its digits.
-        conjugates = (self.pow_elem(pows, p**i) for i in range(e))
-        traces = reduce(self.add, conjugates)
-        self.trace_table = _digit_sum([digit * t % p for t in traces]) % p
-        # 1 - x has digit 0 equal to 1 - c_0 and digit i > 0 equal to -c_i.
-        one_minus = _digit_sum([(int(i == 0) - digit) % p * w
-                                for i, w in enumerate(pows)])
-        self.one_minus_log = log_table[one_minus[exp_table]]
+            # tr(x^j) = sum_i (x^j)^(p^i) lies in F_p, so its code is the
+            # trace itself; the trace of any code is linear in its digits.
+            conjugates = (self.pow_elem(pows, p**i) for i in range(e))
+            traces = reduce(self.add, conjugates)
+            self.trace_table = _digit_sum([digit * t % p for t in traces]) % p
+            # 1 - x has digit 0 equal to 1 - c_0 and digit i > 0 equal to -c_i.
+            one_minus = _digit_sum([(int(i == 0) - digit) % p * w
+                                    for i, w in enumerate(pows)])[exp_table]
+        self.one_minus_log = log_table.take(one_minus)
+        for table in (exp_table, log_table, self.trace_table,
+                      self.one_minus_log, self._digits, self._pows):
+            if table is not None:
+                table.setflags(write=False)
 
     # -- arithmetic on codes (accept and return ints or numpy arrays) ------
 
@@ -265,10 +290,29 @@ class FieldCtx:
 # --------------------------------------------------------------------------
 
 
-def _find_modulus(p: int, e: int) -> tuple[int, ...]:
-    """First monic irreducible of degree e in ascending code order."""
-    monic = ((*_coeffs(code, p, e), 1) for code in range(p**e))
-    return next(f for f in monic if _is_irreducible(_companion(f, p), p))
+def _find_modulus(p: int, e: int) -> tuple[tuple[int, ...], np.ndarray]:
+    """First monic irreducible f of degree e in ascending code order, and
+    its companion matrix C.
+
+    Rabin's test, on a batch of candidates at once, each test on the
+    survivors of the last.  C^(p^e) = C says x^(p^e) = x mod f: f is
+    squarefree and its factors have degrees dividing e, so F_p[x]/(f) is a
+    product of fields whose unit groups have orders dividing p^e - 1.  Then
+    f is irreducible iff, for each prime r | e, x^(p^(e/r)) - x is a unit
+    (no factor has degree dividing e/r), that is, iff its matrix raised to
+    p^e - 1 is I.
+    """
+    eye = np.eye(e)
+    for codes in _batches(0, p**e, 16):  # F_p[x] has irreducibles of degree e
+        c = _companions(codes, p, e)
+        keep = (_matpow(c, p**e, p) == c).all(axis=(1, 2))
+        for r in prime_factors(e):
+            codes, c = codes[keep], c[keep]
+            x = np.remainder(_matpow(c, p**(e // r), p) - c, p)
+            keep = (_matpow(x, p**e - 1, p) == eye).all(axis=(1, 2))
+        codes, c = codes[keep], c[keep]
+        if len(codes):
+            return (*_coeffs(int(codes[0]), p, e), 1), c[0]
 
 
 def _exp_table(m: np.ndarray, q: int, p: int) -> np.ndarray:
@@ -278,48 +322,57 @@ def _exp_table(m: np.ndarray, q: int, p: int) -> np.ndarray:
     times m^s give the next s, so the table doubles at every step.
     """
     e = len(m)
-    rows = np.zeros((q - 1, e), dtype=np.int64)
+    rows = np.zeros((q - 1, e))
     rows[0, 0] = 1
+    m = np.asarray(m, dtype=np.float64)
     s = 1
     while s < q - 1:
         n = min(s, q - 1 - s)
-        rows[s:s + n] = rows[:n] @ m % p
-        m = m @ m % p
+        _mod(np.matmul(rows[:n], m, out=rows[s:s + n]), p)
+        m = _mod(m @ m, p)
         s += n
-    return rows @ p ** np.arange(e, dtype=np.int64)
+    return (rows @ p ** np.arange(e, dtype=np.float64)).astype(np.int64)
+
+
+def _power_table(g: int, p: int) -> np.ndarray:
+    """g^0, ..., g^(p-2) mod p: the prime field's exp table, doubled like
+    :func:`_exp_table` on the 1 x 1 matrix [[g]]."""
+    table = np.empty(p - 1, dtype=np.int64)
+    table[0] = 1
+    s = 1
+    while s < p - 1:
+        n = min(s, p - 1 - s)
+        np.multiply(table[:n], g, out=table[s:s + n])
+        table[s:s + n] %= p
+        g = g * g % p
+        s += n
+    return table
 
 
 def _find_generator(p: int, e: int, c: np.ndarray) -> tuple[int, np.ndarray]:
     """Least code of order p^e - 1 in F_p[x]/(f), where C is the companion
     matrix of f, and its multiplication matrix sum_j c_j·C^j."""
     q = p**e
-    eye = np.eye(e, dtype=np.int64)
-    powers = list(accumulate([c] * (e - 1), lambda a, b: a @ b % p,
+    eye = np.eye(e)
+    powers = list(accumulate([c] * (e - 1), lambda a, b: _mod(a @ b, p),
                              initial=eye))
     factors = prime_factors(q - 1)
-    start, size = 2, 64
-    while True:  # a generator exists, so some batch below q holds it
-        codes = np.arange(start, min(start + size, q))
-        mats = np.tensordot(codes[:, None] // p ** np.arange(e) % p,
-                            powers, 1) % p
-        full = np.ones(len(codes), dtype=bool)
-        for r in factors:
-            full &= ~(_matpow(mats, (q - 1) // r, p) == eye).all(axis=(1, 2))
-        if full.any():
-            i = int(np.argmax(full))
-            return int(codes[i]), mats[i]
-        start, size = start + size, 2 * size
+    for codes in _batches(2, q, 64):  # a generator exists below q
+        mats = _mod(np.tensordot(_digit_rows(codes, p, e), powers, 1), p)
+        for r in factors:  # each prime tests only the survivors so far
+            unit = (_matpow(mats, (q - 1) // r, p) == eye).all(axis=(1, 2))
+            codes, mats = codes[~unit], mats[~unit]
+        if len(codes):
+            return int(codes[0]), mats[0]
 
 
 @lru_cache(maxsize=None)
 def _build_field_cached(p: int, e: int) -> FieldCtx:
     if e == 1:
         g = least_primitive_root(p)
-        modulus = ((-g) % p, 1)
-        m = _companion(modulus, p)  # [[g]]: x is g modulo x - g
-    else:
-        modulus = _find_modulus(p, e)
-        g, m = _find_generator(p, e, _companion(modulus, p))
+        return FieldCtx(p, 1, ((-g) % p, 1), g, _power_table(g, p))
+    modulus, c = _find_modulus(p, e)
+    g, m = _find_generator(p, e, c)
     return FieldCtx(p, e, modulus, g, _exp_table(m, p**e, p))
 
 
@@ -349,13 +402,23 @@ def build_field(p: int, e: int = 1,
 # --------------------------------------------------------------------------
 
 
+def check_code(ctx: FieldCtx, x: int, name: str = "x") -> None:
+    """Refuse x with ValueError unless it is a field-element code in [0, q)."""
+    if not 0 <= x < ctx.q:
+        raise ValueError(f"{name}={x} is not a field-element code in "
+                         f"[0, {ctx.q})")
+
+
 def dlog(ctx: FieldCtx, x: int) -> int:
     """Discrete log base g of a nonzero element code."""
-    if x == 0:
-        raise LogOfZero()
+    if not 0 < x < ctx.q:  # one comparison on the warm count path
+        if x == 0:
+            raise LogOfZero()
+        check_code(ctx, x)
     return int(ctx.log_table[x])
 
 
 def trace_map(ctx: FieldCtx, alpha: int) -> int:
     """F_p-valued field trace of an element code, as an int in [0, p)."""
+    check_code(ctx, alpha, "alpha")
     return int(ctx.trace_table[alpha])

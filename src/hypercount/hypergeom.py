@@ -97,18 +97,25 @@ def coefficient_vector(ctx: FieldCtx, top_indices: tuple[int, ...],
 
     c_j = binom(T^(a_0+j), T^j) * prod_i binom(T^(a_i+j), T^(b_i+j)).
     Cached on the ring, keyed by the index lists; the binomial columns
-    it multiplies are dropped from the ring's column cache.
+    it multiplies are dropped from the ring's column cache.  The first
+    column is written into the owned result and every later one into one
+    scratch buffer, freed on return.
     """
     key = _series_key(ctx, top_indices, bottom_indices)
     cached = ring._hgf_cache.get(key)
     if cached is not None:
         return cached
-    coeffs = None
-    for column in zip(key[0], (0, *key[1])):
-        factor = binom_column(ctx, *column, ring)
+    columns = list(zip(key[0], (0, *key[1])))
+    coeffs = np.empty_like(ring.roots_q1)
+    scratch = np.empty_like(coeffs) if len(columns) > 1 else None
+    for i, column in enumerate(columns):
+        factor = binom_column(ctx, *column, ring,
+                              _out=scratch if i else coeffs)
         ring._binom_cache.pop(column, None)
-        coeffs = (np.array(factor) if coeffs is None  # one owned buffer
-                  else ring.mul_vec(coeffs, factor, out=coeffs))
+        if i:
+            ring.mul_vec(coeffs, factor, out=coeffs)
+        elif factor is not coeffs:  # a cached column
+            coeffs[...] = factor
     coeffs.setflags(write=False)
     ring._hgf_cache[key] = coeffs
     return coeffs
@@ -157,8 +164,11 @@ def evaluate_hgf(spec: HgfSpec, ring=None) -> CharValue:
         return ring.wrap(series_values(ctx, tops, bottoms, ring)[k])
     coeffs = coefficient_vector(ctx, tops, bottoms, ring)
     Q = ctx.q - 1
-    twists = ring.root_unity_vec((np.arange(Q, dtype=np.int64) * k) % Q)
-    total = ring.sum_vec(ring.mul_vec(coeffs, twists))
+    exps = np.arange(Q, dtype=np.int64)
+    exps *= k
+    twists = ring.root_unity_vec(exps)
+    del exps
+    total = ring.sum_vec(ring.mul_vec(coeffs, twists, out=twists))
     ring._hgf_uses[key] = uses + 1
     # Normalize by q/(q-1).
     return ring.wrap(ring.scale(total, ctx.q, Q))

@@ -159,6 +159,19 @@ class CharValue:
         return f"CharValue({self.payload!r}, backend={self.ring.backend})"
 
 
+def _roots_of_unity(n: int) -> np.ndarray:
+    """Read-only exp(2j·pi·k/n), k < n, built in place and bit-identical to
+    ``np.exp(2j * np.pi * np.arange(n) / n)``: that product has real part
+    +0 and imaginary part 2·pi·k, and numpy divides a complex number by the
+    real n as a product with 1/n."""
+    roots = np.zeros(n, dtype=np.complex128)
+    np.multiply(np.arange(n), 2 * np.pi, out=roots.imag)
+    roots.imag *= 1 / n
+    np.exp(roots, out=roots)
+    roots.setflags(write=False)
+    return roots
+
+
 class ComplexRing:
     """Floating-point backend: values are numpy complex128 scalars/arrays."""
 
@@ -169,9 +182,8 @@ class ComplexRing:
             raise ValueError("tolerance must be finite and positive")
         self.ctx = ctx
         self.tolerance = tolerance
-        q = ctx.q
-        self.roots_q1 = np.exp(2j * np.pi * np.arange(q - 1) / (q - 1))
-        self.roots_p = np.exp(2j * np.pi * np.arange(ctx.p) / ctx.p)
+        self.roots_q1 = _roots_of_unity(ctx.q - 1)
+        self.roots_p = _roots_of_unity(ctx.p)
         self._gauss = None
         self._binom_cache: dict = {}
         self._hgf_cache: dict = {}
@@ -235,7 +247,8 @@ class ComplexRing:
     # -- vector ops (complex128 arrays) --------------------------------------
 
     def root_unity_vec(self, exps) -> np.ndarray:
-        return self.roots_q1[np.asarray(exps) % (self.ctx.q - 1)]
+        """roots_q1[e mod (q-1)] for each exponent e, in a new array."""
+        return self.roots_q1.take(np.remainder(exps, self.ctx.q - 1))
 
     def theta_root_vec(self, ts) -> np.ndarray:
         return self.roots_p[np.asarray(ts) % self.ctx.p]
@@ -271,12 +284,14 @@ class ComplexRing:
         """Payloads of the rationals nums/den (nums an integer array)."""
         return (np.asarray(nums) / den).astype(np.complex128)
 
-    def scale(self, u, num: int, den: int = 1):
-        """Payload(s) u·num/den for integers num, den; unit factors skipped."""
+    def scale(self, u, num: int, den: int = 1, out=None):
+        """Payload(s) u·num/den for integers num, den, into the array out if
+        given (out may be u); unit factors are skipped.  Without out, a
+        scalar u takes numpy's scalar arithmetic."""
         if num != 1:
-            u = u * num
+            u = u * num if out is None else np.multiply(u, num, out=out)
         if den != 1:
-            u = u / den
+            u = u / den if out is None else np.divide(u, den, out=out)
         return u
 
     def negate(self, u) -> None:
@@ -299,7 +314,9 @@ class ComplexRing:
     def dft(self, u) -> np.ndarray:
         """DFT: entry m is sum_i u[i]·zeta^(m·i), m < Q, for a length-Q
         vector u, Q = q - 1: numpy's inverse FFT scaled by Q."""
-        return np.fft.ifft(u) * (self.ctx.q - 1)
+        out = np.fft.ifft(u)
+        out *= self.ctx.q - 1
+        return out
 
     @property
     def gauss_array(self) -> np.ndarray:
@@ -310,7 +327,7 @@ class ComplexRing:
         """
         if self._gauss is None:
             ctx = self.ctx
-            u = self.roots_p[ctx.trace_table[ctx.exp_table]]
+            u = self.roots_p.take(ctx.trace_table.take(ctx.exp_table))
             self._gauss = self.dft(u)
             self._gauss.setflags(write=False)
         return self._gauss
@@ -557,7 +574,8 @@ class ResidueRing:
     # -- vector ops (uint64 arrays of residues) --------------------------------
 
     def root_unity_vec(self, exps) -> np.ndarray:
-        return self.roots_q1[np.asarray(exps) % (self.ctx.q - 1)]
+        """roots_q1[e mod (q-1)] for each exponent e, in a new array."""
+        return self.roots_q1.take(np.remainder(exps, self.ctx.q - 1))
 
     def theta_root_vec(self, ts) -> np.ndarray:
         return self.roots_p[np.asarray(ts) % self.ctx.p]
@@ -579,18 +597,24 @@ class ResidueRing:
         # wrapping uint64, lies in [-ell, ell); a wrapped negative r is the
         # larger of r and r + ell.  Integer ufuncs never check overflow, and
         # asarray keeps the product of two scalars an array.
-        quot = np.rint(np.multiply(u, v, dtype=np.float64) * self._ell_recip)
+        # Two temporaries: the float quotient, then quot·ell and r + ell.
+        quot = np.asarray(np.multiply(u, v, dtype=np.float64))
+        quot *= self._ell_recip
+        np.rint(quot, out=quot)
         out = np.asarray(np.multiply(u, v, out=out))
-        out -= np.multiply(quot, self._ell_u64, dtype=np.uint64,
-                           casting="unsafe")
-        np.minimum(out, out + self._ell_u64, out=out)
+        tmp = np.asarray(np.multiply(quot, self._ell_u64, dtype=np.uint64,
+                                     casting="unsafe"))
+        del quot
+        out -= tmp
+        np.minimum(out, np.add(out, self._ell_u64, out=tmp), out=out)
         return out
 
     def sum_vec(self, u):
         """Modular sum of a residue array (any shape, summed flat)."""
         flat = np.ravel(np.asarray(u))
-        if flat.dtype == object:
-            return sum(int(x) for x in flat) % self.ell
+        if not self._use_numpy or flat.dtype == object:
+            # Python ints: a uint64 partial sum would wrap once ell is wide.
+            return sum(map(int, flat.tolist())) % self.ell
         total = 0
         # Chunked so partial uint64 sums cannot overflow: 4096 * ell < 2**63.
         for start in range(0, flat.size, 4096):
@@ -600,9 +624,9 @@ class ResidueRing:
     def sum_rows(self, mat) -> np.ndarray:
         """Per-row modular sums of a 2-D residue matrix."""
         mat = np.asarray(mat)
-        if mat.dtype == object:
-            return np.array([sum(int(x) for x in row) % self.ell
-                             for row in mat], dtype=object)
+        if not self._use_numpy or mat.dtype == object:
+            return np.array([sum(map(int, row)) % self.ell
+                             for row in mat.tolist()], dtype=object)
         out = np.zeros(mat.shape[0], dtype=np.uint64)
         ell = np.uint64(self.ell)
         # Column blocks keep each partial row sum below 4096 * ell < 2**63.
@@ -681,12 +705,13 @@ class ResidueRing:
         residues = (np.asarray(nums) % self.ell).astype(np.uint64)
         return self.scale(residues, 1, den)
 
-    def scale(self, u, num: int, den: int = 1):
-        """Residue(s) u·num/den for rational integers num and den != 0."""
+    def scale(self, u, num: int, den: int = 1, out=None):
+        """Residue(s) u·num/den for rational integers num and den != 0, into
+        the array out if given (out may be u)."""
         c = num * pow(den, -1, self.ell) % self.ell
         if isinstance(u, int):
             return u * c % self.ell
-        return self.mul_vec(u, np.uint64(c))
+        return self.mul_vec(u, np.uint64(c), out=out)
 
     def negate(self, u) -> None:
         """Negate the writable residue array u in place."""

@@ -88,6 +88,17 @@ def test_quadratic_sign_detects_squares(f25):
         assert quadratic_sign(f25, x) == expected
 
 
+@pytest.mark.parametrize("x", [-1, 13, 14])
+def test_characters_refuse_codes_outside_the_field(f13, backend, x):
+    ring = get_ring(f13, backend)
+    for call in (lambda: eval_char(quadratic_char(f13), x, ring),
+                 lambda: MultChar(f13, 3)(x, ring),
+                 lambda: quadratic_sign(f13, x),
+                 lambda: theta(f13, x, ring)):
+        with pytest.raises(ValueError, match="not a field-element code"):
+            call()
+
+
 def test_sign_at_minus_one_matches_evaluation(f13, backend):
     ring = get_ring(f13, backend)
     minus_one = f13.neg(1)
@@ -181,14 +192,34 @@ def gather_binom_column(ctx, m0, n0, ring):
     return np.where(odd, (ring.ell - scaled) % ring.ell, scaled)
 
 
-@pytest.mark.parametrize("p,e", [(601, 1), (3, 5)])
+def roll_binom_column(ctx, m0, n0, ring):
+    """binom_column as it was before it wrote into its output buffer: two
+    np.roll rows, a new array for every product, the scale and the sign."""
+    Q, q = ctx.q - 1, ctx.q
+    if m0 == n0:
+        nums = np.full(Q, -1, dtype=np.int64)
+        nums[(-m0) % Q] = q - 2
+        return ring.rational_vec(nums, q)
+    G = ring.gauss_array
+    terms = ring.mul_vec(np.roll(G, -m0), np.roll(G[::-1], 1 - n0))
+    terms = ring.mul_vec(terms, G[(n0 - m0) % Q], out=terms)
+    out = ring.scale(terms, 1, q * q)
+    ring.negate(out[(m0 + 1) % 2::2])
+    return out
+
+
+# Q = q - 1 is 0, 2, 4 and 6 mod 8, so the rows end at every offset of a
+# SIMD block.
+@pytest.mark.parametrize("p,e", [(601, 1), (3, 5), (5, 3), (7, 3), (1201, 1)])
 def test_binom_column_matches_gather_reference(p, e, backend):
     ctx = build_field(p, e)
     ring = get_ring(ctx, backend)
     Q = ctx.q - 1
     rng = np.random.default_rng(12)
     pairs = [(Q - 1, 5), (7, 0), (Q - 1, 0), (3, Q - 1), (0, Q - 1),
+             (0, 1), (1, 0), (1, Q - 1), (Q // 2, 1),
              *rng.integers(0, Q, size=(20, 2)).tolist()]
+    buffer = np.empty_like(ring.roots_q1)
     for m0, n0 in pairs:
         if m0 == n0:
             continue
@@ -196,6 +227,12 @@ def test_binom_column_matches_gather_reference(p, e, backend):
         ref = gather_binom_column(ctx, m0, n0, ring)
         assert col.dtype == ref.dtype and col.shape == ref.shape
         assert col.tobytes() == ref.tobytes(), (m0, n0)
+        assert col.tobytes() == roll_binom_column(ctx, m0, n0, ring).tobytes()
+        # The same column, written into coefficient_vector's buffer.
+        ring._binom_cache.clear()
+        assert binom_column(ctx, m0, n0, ring, _out=buffer) is buffer
+        assert buffer.tobytes() == ref.tobytes(), (m0, n0)
+        ring._binom_cache.clear()
     for m in (0, 1, Q // 2, Q - 1):  # the diagonal, -1/q + [j = -m]
         col = binom_column(ctx, m, m, ring)
         nums = np.full(Q, -1)
@@ -209,3 +246,5 @@ def test_binom_column_is_cached_and_frozen(f13, backend):
     assert binom_column(f13, 2, 5, ring) is col
     assert binom_column(f13, 2 + (f13.q - 1), 5, ring) is col  # index mod Q
     assert not col.flags.writeable
+    # A hit returns the cached column, not the caller's buffer.
+    assert binom_column(f13, 2, 5, ring, _out=np.empty_like(col)) is col

@@ -22,6 +22,7 @@ from hypercount import (
     get_ring,
     trace_map,
 )
+from hypercount import ffield
 from hypercount.ffield import is_prime, least_primitive_root, prime_factors
 
 
@@ -76,7 +77,8 @@ def test_rebuild_is_identical():
 
 # (p, e, modulus, g, first 16 hex digits of the sha256 of exp_table as
 # little-endian int64), from the polynomial construction the field used
-# to run: every odd prime power below 257, then four larger extensions.
+# to run: every odd prime power below 257, then the extension fields of the
+# benchmark's cold ladders.
 PINNED_FIELDS = [
     (3, 1, (1, 1), 2, "0c730b69905c5ef7"),
     (5, 1, (3, 1), 2, "92ebfe56a187e071"),
@@ -144,6 +146,9 @@ PINNED_FIELDS = [
     (13, 3, (2, 0, 0, 1), 15, "63222d54f1b02488"),
     (11, 4, (2, 1, 0, 0, 1), 11, "e72fb601fe79de28"),
     (17, 4, (3, 0, 0, 0, 1), 307, "add6852a5f9860fc"),
+    (5, 4, (2, 0, 0, 0, 1), 6, "4b374c497587d894"),
+    (13, 4, (2, 0, 0, 0, 1), 17, "e094c3ab2f613ecd"),
+    (37, 3, (2, 0, 0, 1), 75, "b730599c1b63160a"),
 ]
 
 
@@ -237,7 +242,73 @@ def test_exp_log_roundtrip(f25):
         dlog(f25, 0)
 
 
+@pytest.mark.parametrize("x", [-1, -25, 25, 26, 10**30])
+def test_codes_outside_the_field_are_refused(f25, x):
+    # -1 would index the table from the end, q - 1 past it.
+    refusal = r"not a field-element code in \[0, 25\)"
+    with pytest.raises(ValueError, match=refusal):
+        dlog(f25, x)
+    with pytest.raises(ValueError, match=refusal):
+        trace_map(f25, x)
+
+
+@pytest.mark.parametrize("p,e", [(13, 1), (5, 2)])
+def test_field_tables_are_read_only(p, e):
+    ctx = build_field(p, e)
+    tables = [ctx.exp_table, ctx.log_table, ctx.trace_table,
+              ctx.one_minus_log]
+    if e > 1:
+        tables += [ctx._digits, ctx._pows]
+    for table in tables:
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[1] = 0
+
+
 EXTENSION_FIELDS = [(p, e) for p, e, *_ in PINNED_FIELDS if e > 1]
+
+
+def int_exp_table(m, q, p):
+    """The exponent table as the field built it in int64 arithmetic:
+    ``rows[:n] @ m % p`` doubles the rows of g^i, then digits to codes."""
+    e = len(m)
+    m = np.asarray(m, dtype=np.int64)
+    rows = np.zeros((q - 1, e), dtype=np.int64)
+    rows[0, 0] = 1
+    s = 1
+    while s < q - 1:
+        n = min(s, q - 1 - s)
+        rows[s:s + n] = rows[:n] @ m % p
+        m = m @ m % p
+        s += n
+    return rows @ p ** np.arange(e, dtype=np.int64)
+
+
+@pytest.mark.parametrize("p", [3, 5, 13, 601, 9601, 100801])
+def test_prime_power_table_is_the_matrix_doubling(p):
+    g = least_primitive_root(p)
+    table = ffield._power_table(g, p)
+    assert table.dtype == np.int64
+    assert np.array_equal(table, int_exp_table([[g]], p, p))
+    assert np.array_equal(build_field(p).exp_table, table)
+
+
+@pytest.mark.parametrize("p,e", EXTENSION_FIELDS)
+def test_float_exp_table_is_the_int64_doubling(p, e):
+    modulus, c = ffield._find_modulus(p, e)
+    g, m = ffield._find_generator(p, e, c)
+    table = ffield._exp_table(m, p**e, p)
+    assert table.dtype == np.int64
+    assert np.array_equal(table, int_exp_table(m, p**e, p))
+
+
+def test_mod_is_exact_up_to_two_to_the_forty():
+    for p in (3, 1021, 1048573):
+        x = np.array([0, 1, p - 1, p, p + 1, 2**40 - 1, 2**40 - 2,
+                      (2**40 // p) * p, (2**40 // p) * p - 1], dtype=np.int64)
+        x = np.concatenate([x, np.random.default_rng(p).integers(0, 2**40,
+                                                                  1000)])
+        assert np.array_equal(ffield._mod(x.astype(np.float64), p), x % p)
 
 
 def test_one_minus_log_table():

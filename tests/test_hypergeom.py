@@ -19,6 +19,7 @@ from hypercount import (
     NonIntegerResult,
     ResidueRing,
     binom,
+    binom_column,
     build_field,
     eval_char,
     evaluate_hgf,
@@ -137,6 +138,81 @@ def test_coefficient_vector_is_cached_and_normalized(f13, backend):
     assert coefficient_vector(f13, (6, 1), (4,), ring) is vec
     assert coefficient_vector(f13, (6 + Q, 1), (4 - Q,), ring) is vec
     assert not vec.flags.writeable
+
+
+def old_coefficient_vector(ctx, tops, bottoms, ring):
+    """The coefficient vector as it was built before it had an owned
+    buffer: a copy of the first column, then each column multiplied in."""
+    coeffs = None
+    for m0, n0 in zip(tops, (0, *bottoms)):
+        column = binom_column(ctx, m0, n0, ring)
+        coeffs = (np.array(column) if coeffs is None
+                  else ring.mul_vec(coeffs, column, out=coeffs))
+    return coeffs
+
+
+def old_direct_sum(ctx, coeffs, k, ring):
+    """The direct twisted sum as evaluate_hgf took it before it built the
+    twists in place."""
+    Q = ctx.q - 1
+    twists = ring.root_unity_vec((np.arange(Q, dtype=np.int64) * k) % Q)
+    total = ring.sum_vec(ring.mul_vec(coeffs, twists))
+    return ring.scale(total, ctx.q, Q)
+
+
+@pytest.mark.parametrize("p,e", [(11, 2), (601, 1), (7, 4), (3, 5)])
+def test_coefficients_and_direct_sums_are_bitwise_the_old_ones(p, e,
+                                                              backend):
+    ctx = build_field(p, e)
+    rng = np.random.default_rng(p)
+    for tops, bottoms in admissible_series(ctx):
+        ring = RINGS[backend](ctx)
+        ref = old_coefficient_vector(ctx, tops, bottoms, ring)
+        ring._binom_cache.clear()
+        coeffs = coefficient_vector(ctx, tops, bottoms, ring)
+        assert coeffs.tobytes() == ref.tobytes(), (tops, bottoms)
+        assert not ring._binom_cache
+        for k in (0, 1, ctx.q - 2, *rng.integers(0, ctx.q - 1, 5).tolist()):
+            spec = spec_at(ctx, tops, bottoms, ctx.exp_table[k])
+            value = evaluate_hgf(spec, ring).payload
+            old = ring.wrap(old_direct_sum(ctx, coeffs, k, ring)).payload
+            assert np.asarray(value).tobytes() == \
+                np.asarray(old).tobytes(), (tops, bottoms, k)
+
+
+def test_direct_sum_is_exact_on_the_widest_object_ring():
+    # 62-bit ell, Q = 100: a uint64 sum of the twisted coefficients would
+    # wrap, so the direct sum (and jacobi_sum under reference_hgf) must add
+    # Python ints however the residues are stored.
+    ctx = build_field(101)
+    ring = get_ring(ctx, "exact", d_max=15)
+    assert not ring._use_numpy and ring.ell.bit_length() == 62
+    Q, ell = ctx.q - 1, ring.ell
+    tops = (MultChar(ctx, 1), MultChar(ctx, 3))
+    bottoms = (MultChar(ctx, 2),)
+    coeffs = coefficient_vector(ctx, (1, 3), (2,), ring)
+    roots = [int(w) for w in ring.roots_q1]
+    for x in (1, 2, 57, 100):
+        ring._hgf_uses.clear()  # the direct sum, not the spectrum
+        spec = HgfSpec(tops, bottoms, x)
+        k = int(ctx.log_table[x])
+        total = sum(int(c) * roots[j * k % Q]
+                    for j, c in enumerate(coeffs)) % ell
+        expect = total * ctx.q * pow(Q, -1, ell) % ell
+        value = evaluate_hgf(spec, ring)
+        assert int(value.payload) == expect, x
+        assert value.isclose(reference_hgf(spec, ring)), x
+
+
+def test_coefficient_vector_copies_a_cached_first_column(f13, backend):
+    ring = get_ring(f13, backend)
+    ring._hgf_cache.clear()
+    first = binom_column(f13, 6, 0, ring)
+    before = first.tobytes()
+    vec = coefficient_vector(f13, (6, 1), (4,), ring)
+    assert vec is not first and first.tobytes() == before
+    ref = ring.mul_vec(first, binom_column(f13, 1, 4, ring))
+    assert vec.tobytes() == ref.tobytes()
 
 
 def test_coefficient_vector_rejects_mismatched_lengths(f13, backend):

@@ -205,12 +205,15 @@ def test_corrupt_gauss_sum_fails_the_identity_checks(f13, ring_type):
 ])
 def test_corrupt_jacobi_term_fails_gauss_to_jacobi(ring_type, q, mismatches,
                                                    first):
-    # A field of its own, outside build_field's cache: dlog(1 - g^5) moves
-    # by Q/2, so T^-n(1 - g^5) changes sign exactly for odd n.  Counts and
-    # labels were pinned from the per-m loop this check replaced.
+    # A field of its own, outside build_field's cache, with a modified copy
+    # of its read-only table: dlog(1 - g^5) moves by Q/2, so T^-n(1 - g^5)
+    # changes sign exactly for odd n.  Counts and labels were pinned from
+    # the per-m loop this check replaced.
     ctx = _build_field_cached.__wrapped__(q, 1)
     Q = ctx.q - 1
-    ctx.one_minus_log[5] = (ctx.one_minus_log[5] + Q // 2) % Q
+    corrupt = ctx.one_minus_log.copy()
+    corrupt[5] = (corrupt[5] + Q // 2) % Q
+    ctx.one_minus_log = corrupt
     reports = {r.identity: r for r in verify_lemmas(ctx, ring_type(ctx))}
     rep = reports.pop("gauss_to_jacobi")
     assert (rep.cases, rep.mismatch_count, rep.first_mismatches) == \

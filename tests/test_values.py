@@ -137,6 +137,24 @@ def test_power_tables_are_the_powers(p, e, d_max):
                                            for j in range(count)]
 
 
+# numpy divides a complex number by the real n through 1/n, so the
+# in-place root tables take that product, not a division.  The fields give
+# odd and even lengths up to the top of the benchmark's float ladder.
+@pytest.mark.parametrize("p,e", [(13, 1), (3, 5), (1201, 1), (11, 4),
+                                 (17, 4), (100801, 1)])
+def test_float_ring_tables_are_bitwise_the_old_expressions(p, e):
+    ctx = build_field(p, e)
+    ring = get_ring(ctx, "float")
+    q = ctx.q
+    for table, n in ((ring.roots_q1, q - 1), (ring.roots_p, p)):
+        assert not table.flags.writeable
+        assert table.tobytes() == \
+            np.exp(2j * np.pi * np.arange(n) / n).tobytes()
+    u = ring.roots_p[ctx.trace_table[ctx.exp_table]]
+    assert ring.gauss_array.tobytes() == \
+        (np.fft.ifft(u) * (q - 1)).tobytes()
+
+
 def test_get_ring_caches_per_field(f13):
     assert get_ring(f13, "exact") is get_ring(f13, "exact")
     assert get_ring(f13, "float") is get_ring(f13, "float")
@@ -269,6 +287,13 @@ def test_mul_vec_matches_python_ints(ring13, widest_ring):
         w = u.copy()
         assert ring.mul_vec(w, v, out=w) is w
         assert_products_exact(ring, u, v, w)
+        # or v.
+        w = v.copy()
+        assert ring.mul_vec(u, w, out=w) is w
+        assert_products_exact(ring, u, v, w)
+        # Two scalars give a 0-d array.
+        prod = ring.mul_vec(u[0], v[0])
+        assert prod.shape == () and int(prod) == int(u[0]) * int(v[0]) % ell
 
 
 def test_sum_vec_chunks_are_exact(f13):
@@ -591,6 +616,16 @@ def test_object_path_mul_and_sum(big_ring):
     for x, y, z in zip(u, v, out):
         assert int(z) == x * y % ring.ell
     assert ring.sum_vec(np.array(u, dtype=object)) == sum(u) % ring.ell
+
+
+def test_object_path_sums_uint64_residues_as_integers():
+    # A 62-bit ell: 4096 uint64 residues near ell would wrap a uint64 sum.
+    ring = get_ring(build_field(101), "exact", d_max=15)
+    assert not ring._use_numpy and ring.ell.bit_length() == 62
+    vals = np.full(5000, ring.ell - 1, dtype=np.uint64)
+    assert ring.sum_vec(vals) == 5000 * (ring.ell - 1) % ring.ell
+    rows = ring.sum_rows(vals.reshape(2, 2500))
+    assert [int(r) for r in rows] == [2500 * (ring.ell - 1) % ring.ell] * 2
 
 
 def test_object_path_gauss_matches_literal(big_ring):
