@@ -27,17 +27,22 @@ matrix of g^s are the rows of g^s, ..., g^(2s-1).  A prime field runs the
 same fill on a 1-D table of powers of g.  Matrix entries are integers
 below p held in float64, so products run in BLAS and stay exact (a
 product entry is at most e·p^2 < 2^40 in the budget).  No code is split
-into digits by division: the digit table broadcasts the digit range along
-each axis of the p x ... x p grid of codes, and the trace (linear in the
-digits) and the code of 1 - x are outer sums of length-p digit tables.  A
-prime field needs none of these: its trace is the code and 1 - x is a
-subtraction.
+into digits by division: the trace (linear in the digits) and the code of
+1 - x are outer sums of length-p per-digit tables.  A prime field needs
+neither: its trace is the code and 1 - x is a subtraction.
 
 All tables are built eagerly: ``exp_table[i] = g**i``, its inverse
-``log_table``, the F_p-valued trace of every element, and the discrete log
-of ``1 - g**i`` (used by Jacobi-sum kernels).  A :class:`FieldCtx` is
-immutable after construction (its tables are read-only numpy arrays) and
-safe to share between threads.
+``log_table``, the discrete log of ``1 - g**i`` (used by Jacobi-sum
+kernels), and the F_p-valued trace of every element.  A :class:`FieldCtx`
+is immutable after construction (its tables are read-only numpy arrays)
+and safe to share between threads.
+
+Arithmetic runs on these tables alone.  A prime field adds mod p.  An
+extension field keeps no digit table: it adds by Zech logarithms, and
+``one_minus_log`` is its Zech table.  For nonzero u = g^a and w = g^b,
+u - w = g^a·(1 - g^(b-a)) = g^(a + one_minus_log[b - a]), whose sentinel
+at b = a marks u - w = 0; u + v is u - (-v), and -v = g^(b + (q-1)/2)
+since -1 = g^((q-1)/2).  Products, inverses and powers add or scale logs.
 """
 
 from __future__ import annotations
@@ -180,7 +185,9 @@ class FieldCtx:
         log_table: inverse of ``exp_table``; entry 0 holds the sentinel -1.
         trace_table: F_p-valued trace of every element, indexed by code.
         one_minus_log: ``one_minus_log[i] = dlog(1 - g**i)`` with sentinel
-            -1 at i = 0 (where 1 - g**0 = 0).
+            -1 at i = 0 (where 1 - g**0 = 0); on an extension field also
+            the Zech logarithm table of ``add``, ``sub`` and ``neg``.
+        _digits, _pows: always None; the field keeps no digit table.
     """
 
     __slots__ = (
@@ -203,45 +210,73 @@ class FieldCtx:
         digit = np.arange(p, dtype=np.int64)
         self._digits = self._pows = None
         if e == 1:
-            # The trace is the identity, and 1 - x needs no digit table.
-            self.trace_table = digit
             one_minus = 1 - exp_table
             one_minus %= p
         else:
-            pows = self._pows = p ** np.arange(e, dtype=np.int64)
-            self._digits = np.empty((self.q, e), dtype=np.int64)
-            by_digit = self._digits.reshape((p,) * e + (e,))
-            for i in range(e):  # axis e-1-i of by_digit is digit i
-                by_digit[..., i] = digit.reshape((p,) + (1,) * i)
-            # tr(x^j) = sum_i (x^j)^(p^i) lies in F_p, so its code is the
-            # trace itself; the trace of any code is linear in its digits.
-            conjugates = (self.pow_elem(pows, p**i) for i in range(e))
-            traces = reduce(self.add, conjugates)
-            self.trace_table = _digit_sum([digit * t % p for t in traces]) % p
             # 1 - x has digit 0 equal to 1 - c_0 and digit i > 0 equal to -c_i.
+            pows = p ** np.arange(e, dtype=np.int64)
             one_minus = _digit_sum([(int(i == 0) - digit) % p * w
                                     for i, w in enumerate(pows)])[exp_table]
         self.one_minus_log = log_table.take(one_minus)
+        self.trace_table = digit  # the trace of a prime field is the code
+        if e > 1:
+            # tr(x^j) = sum_i (x^j)^(p^i) lies in F_p, so its code is the
+            # trace itself; the trace of any code is linear in its digits.
+            # The sum runs through add, so one_minus_log comes first.
+            conjugates = (self.pow_elem(pows, p**i) for i in range(e))
+            traces = reduce(self.add, conjugates)
+            self.trace_table = _digit_sum([digit * t % p for t in traces]) % p
         for table in (exp_table, log_table, self.trace_table,
-                      self.one_minus_log, self._digits, self._pows):
-            if table is not None:
-                table.setflags(write=False)
+                      self.one_minus_log):
+            table.setflags(write=False)
 
     # -- arithmetic on codes (accept and return ints or numpy arrays) ------
 
     def add(self, u, v):
         if self.e == 1:
             return (u + v) % self.p
-        digits = (self._digits[u] + self._digits[v]) % self.p
-        return digits @ self._pows
+        return self._zech(u, v, (self.q - 1) // 2)
+
+    def sub(self, u, v):
+        if self.e == 1:
+            return (u - v) % self.p
+        return self._zech(u, v, 0)
 
     def neg(self, u):
         if self.e == 1:
             return (-u) % self.p
-        return ((self.p - self._digits[u]) % self.p) @ self._pows
+        return self.mul(int(self.exp_table[(self.q - 1) // 2]), u)  # -1 · u
 
-    def sub(self, u, v):
-        return self.add(u, self.neg(v))
+    def _zech(self, u, v, shift: int):
+        """u - g^shift·v on an extension field, by Zech logarithms (see the
+        module docstring); shift is 0 for u - v and (q-1)/2 for u + v."""
+        n = self.q - 1
+        log = self.log_table
+        if np.isscalar(u) and np.isscalar(v):
+            if v == 0:
+                return int(u)
+            if u == 0:
+                return int(v) if shift else self.neg(v)
+            lu = int(log[u])
+            z = int(self.one_minus_log[(int(log[v]) + shift - lu) % n])
+            return 0 if z < 0 else int(self.exp_table[(lu + z) % n])
+        u = np.asarray(u)
+        v = np.asarray(v)
+        lu = log.take(u)
+        idx = log.take(v) - lu
+        if shift:
+            idx += shift
+        idx %= n
+        idx = self.one_minus_log.take(idx)
+        cancel = idx < 0
+        idx += lu
+        idx %= n
+        out = np.where(cancel, 0, self.exp_table.take(idx))
+        if not v.all():
+            out = np.where(v == 0, u, out)
+        if not u.all():
+            out = np.where(u == 0, v if shift else self.neg(v), out)
+        return out
 
     def mul(self, u, v):
         if np.isscalar(u) and np.isscalar(v):

@@ -427,8 +427,9 @@ def decompose_theta_sum(ctx: FieldCtx, curve: CurveParams,
     z_sum = ring.wrap(ztab[curve.b])
     yz_sum = ring.wrap(ring.sum_vec(ztab[ctx.sub(curve.b, squares)]))
     xz_sum = ring.wrap(ring.sum_vec(ztab[fx[1:]]))
-    # Codes of f(x) - y² in row blocks: on F_{p^e} each subtraction holds
-    # e digits.  The sum itself still runs over the whole table.
+    # Codes of f(x) - y² in row blocks, which bound the temporaries of the
+    # Zech-log subtraction on F_{p^e}.  The sum still runs over the whole
+    # table.
     diff = np.empty((q - 1, q - 1), dtype=np.int64)
     rows = max(1, _BLOCK // q)
     for lo in range(0, q - 1, rows):

@@ -7,7 +7,10 @@ interchangeable backends realize this ring:
 
 * :class:`ComplexRing` — double-precision complex numbers.  Fast and
   approximate; integer-valued results are recovered by rounding, with a
-  configurable tolerance guarding against silent corruption.
+  configurable tolerance guarding against silent corruption.  Its table
+  of p-th roots is built on first use (the oracle's additive-character
+  sums and extension-field Gauss tables), so a count on a prime field,
+  where p is as large as q, keeps none.
 
 * :class:`ResidueRing` — residues modulo an auxiliary prime ``ell`` with
   ``ell = 1 (mod p*(q-1))``, chosen as the least such prime exceeding
@@ -34,6 +37,7 @@ rings implement every helper, so no kernel branches on the backend.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -159,13 +163,15 @@ class CharValue:
         return f"CharValue({self.payload!r}, backend={self.ring.backend})"
 
 
-def _roots_of_unity(n: int) -> np.ndarray:
-    """Read-only exp(2j·pi·k/n), k < n, built in place and bit-identical to
-    ``np.exp(2j * np.pi * np.arange(n) / n)``: that product has real part
-    +0 and imaginary part 2·pi·k, and numpy divides a complex number by the
-    real n as a product with 1/n."""
-    roots = np.zeros(n, dtype=np.complex128)
-    np.multiply(np.arange(n), 2 * np.pi, out=roots.imag)
+def _roots_of_unity(n: int, ks=None) -> np.ndarray:
+    """Read-only exp(2j·pi·k/n) for each k in ks (default: k < n), built in
+    place and bit-identical to ``np.exp(2j * np.pi * ks / n)``: that product
+    has real part +0 and imaginary part 2·pi·k, and numpy divides a complex
+    number by the real n as a product with 1/n.  So entry i is bitwise
+    ``_roots_of_unity(n)[ks[i]]``."""
+    ks = np.arange(n) if ks is None else ks
+    roots = np.zeros(len(ks), dtype=np.complex128)
+    np.multiply(ks, 2 * np.pi, out=roots.imag)
     roots.imag *= 1 / n
     np.exp(roots, out=roots)
     roots.setflags(write=False)
@@ -173,7 +179,11 @@ def _roots_of_unity(n: int) -> np.ndarray:
 
 
 class ComplexRing:
-    """Floating-point backend: values are numpy complex128 scalars/arrays."""
+    """Floating-point backend: values are numpy complex128 scalars/arrays.
+
+    ``roots_q1`` is built with the ring and ``roots_p`` on first use (see
+    the module docstring).
+    """
 
     backend = "float"
 
@@ -183,12 +193,16 @@ class ComplexRing:
         self.ctx = ctx
         self.tolerance = tolerance
         self.roots_q1 = _roots_of_unity(ctx.q - 1)
-        self.roots_p = _roots_of_unity(ctx.p)
         self._gauss = None
         self._binom_cache: dict = {}
         self._hgf_cache: dict = {}
         self._hgf_uses: dict = {}
         self._spectra: dict = {}
+
+    @functools.cached_property
+    def roots_p(self) -> np.ndarray:
+        """exp(2j·pi·t/p) for t < p, read-only."""
+        return _roots_of_unity(self.ctx.p)
 
     # -- scalar payload ops -------------------------------------------------
 
@@ -323,11 +337,16 @@ class ComplexRing:
         """All q-1 Gauss sums; entry m is G(T^m).
 
         With u[i] = zeta_p^tr(g^i), G_m = sum_i u[i]·zeta_{q-1}^(m·i) is
-        the length-(q-1) DFT of u, computed by :meth:`dft`.
+        the length-(q-1) DFT of u, computed by :meth:`dft`.  On a prime
+        field tr(g^i) is the code g^i, so u is computed from ``exp_table``
+        directly, bitwise equal to ``roots_p[exp_table]``.
         """
         if self._gauss is None:
             ctx = self.ctx
-            u = self.roots_p.take(ctx.trace_table.take(ctx.exp_table))
+            if ctx.e == 1:
+                u = _roots_of_unity(ctx.p, ctx.exp_table)
+            else:
+                u = self.roots_p.take(ctx.trace_table.take(ctx.exp_table))
             self._gauss = self.dft(u)
             self._gauss.setflags(write=False)
         return self._gauss

@@ -152,12 +152,40 @@ PINNED_FIELDS = [
 ]
 
 
+# (p, e): the same digests of trace_table and one_minus_log, for every
+# extension field above, from the field that added by a digit table.
+PINNED_EXTENSION_TABLES = {
+    (3, 2): ("8cc825d972544d25", "1a12d6c8ad035f52"),
+    (5, 2): ("60e2686151985c37", "3bda73c04e859178"),
+    (3, 3): ("6a6e60a5df3c7ada", "aabd087fa81a5a3e"),
+    (7, 2): ("db3db3d8afcc65cf", "7e33c8fe33d36707"),
+    (3, 4): ("a9c7793ec8ae0468", "1fd2fb1fb548fd5b"),
+    (11, 2): ("f63c6c79a7ca9554", "ff3ed0b77bff7f8f"),
+    (5, 3): ("4630abaddb8861ae", "358d79381872efbf"),
+    (13, 2): ("cc5ab5001c689ef4", "b13a8b0c3ac5a66b"),
+    (3, 5): ("0e9e49ec4dfa2c8b", "085b7761b51d6e07"),
+    (7, 4): ("2ac52ad9c6266357", "538d714b6ee0e87b"),
+    (13, 3): ("dfcb6eccfe9b13e9", "2868029e48759031"),
+    (11, 4): ("59101476bdd2fbf1", "889cbdc902f6c2ce"),
+    (17, 4): ("782724590f3b1362", "ccd9cd873b004f97"),
+    (5, 4): ("874b67cd49d676ff", "cd7478ec7feadeef"),
+    (13, 4): ("d0cc4af6f57f86a3", "c051c86c70195ee2"),
+    (37, 3): ("241edf7e67a3a14e", "df937d4e5d002129"),
+}
+
+
+def digest16(table):
+    return hashlib.sha256(table.astype("<i8").tobytes()).hexdigest()[:16]
+
+
 @pytest.mark.parametrize("p,e,modulus,g,digest", PINNED_FIELDS)
 def test_construction_is_pinned(p, e, modulus, g, digest):
     ctx = build_field(p, e)
     assert (ctx.modulus, ctx.g) == (modulus, g)
-    table = ctx.exp_table.astype("<i8").tobytes()
-    assert hashlib.sha256(table).hexdigest()[:16] == digest
+    assert digest16(ctx.exp_table) == digest
+    if e > 1:
+        assert (digest16(ctx.trace_table), digest16(ctx.one_minus_log)) \
+            == PINNED_EXTENSION_TABLES[p, e]
 
 
 def test_extension_modulus_is_the_first_irreducible_in_code_order():
@@ -184,27 +212,72 @@ def test_mul_matches_naive_polynomial_arithmetic(p, e):
             assert ctx.mul(u, v) == naive_mul(ctx, u, v)
 
 
-@pytest.mark.parametrize("p,e", [(3, 2), (7, 1)])
+def digitwise(ctx, u, v, sign):
+    """Codes of u + sign·v, digit by digit, with digits taken by division."""
+    w = ctx.p ** np.arange(ctx.e)
+    du = np.asarray(u)[..., None] // w % ctx.p
+    dv = np.asarray(v)[..., None] // w % ctx.p
+    return (du + sign * dv) % ctx.p @ w
+
+
+SMALL_EXTENSION_FIELDS = [(p, e) for p, e, *_ in PINNED_FIELDS
+                          if e > 1 and p**e < 256]
+
+
+@pytest.mark.parametrize("p,e", [(7, 1), *SMALL_EXTENSION_FIELDS])
 def test_add_neg_sub_are_componentwise(p, e):
+    # Every pair, on the array path (a column against a row) and on the
+    # scalar path, which returns Python ints.
     ctx = build_field(p, e)
+    codes = np.arange(ctx.q, dtype=np.int64)
+    add = ctx.add(codes[:, None], codes)
+    sub = ctx.sub(codes[:, None], codes)
+    assert np.array_equal(add, digitwise(ctx, codes[:, None], codes, 1))
+    assert np.array_equal(sub, digitwise(ctx, codes[:, None], codes, -1))
+    assert np.array_equal(ctx.neg(codes), digitwise(ctx, 0, codes, -1))
     for u in ctx.elements():
-        cu = ctx.coeffs(u)
         for v in ctx.elements():
-            cv = ctx.coeffs(v)
-            s = tuple((x + y) % p for x, y in zip(cu, cv))
-            assert ctx.coeffs(ctx.add(u, v)) == s
+            s, d = ctx.add(u, v), ctx.sub(u, v)
+            assert type(s) is type(d) is int  # so json.dumps takes them
+            assert (s, d) == (add[u, v], sub[u, v])
+        assert type(ctx.neg(u)) is int
         assert ctx.add(u, ctx.neg(u)) == 0
         assert ctx.sub(u, u) == 0
 
 
+@pytest.mark.parametrize("p,e", [(13, 4), (37, 3), (17, 4)])
+def test_add_neg_sub_on_seeded_pairs(p, e):
+    ctx = build_field(p, e)
+    rng = np.random.default_rng(p**e)
+    us, vs = rng.integers(0, ctx.q, (2, 10**4))
+    assert np.array_equal(ctx.add(us, vs), digitwise(ctx, us, vs, 1))
+    assert np.array_equal(ctx.sub(us, vs), digitwise(ctx, us, vs, -1))
+    assert np.array_equal(ctx.neg(us), digitwise(ctx, 0, us, -1))
+
+
 def test_vectorized_ops_match_scalar(f25):
     us = np.arange(f25.q, dtype=np.int64)
-    vs = (us * 7 + 3) % f25.q
-    prod = f25.mul(us, vs)
-    add = f25.add(us, vs)
-    for i in range(f25.q):
-        assert prod[i] == f25.mul(int(us[i]), int(vs[i]))
-        assert add[i] == f25.add(int(us[i]), int(vs[i]))
+    for vs in ((us * 7 + 3) % f25.q, f25.neg(us)):  # zeros, and v = -u
+        prod = f25.mul(us, vs)
+        add = f25.add(us, vs)
+        sub = f25.sub(us, vs)
+        for i in range(f25.q):
+            u, v = int(us[i]), int(vs[i])
+            assert prod[i] == f25.mul(u, v)
+            assert add[i] == f25.add(u, v)
+            assert sub[i] == f25.sub(u, v)
+    assert not f25.add(us, f25.neg(us)).any()
+    # A scalar with an array, either way round, zero included.
+    for c in (0, 1, 7):
+        assert f25.add(c, us).tolist() == [f25.add(c, u) for u in range(25)]
+        assert f25.sub(c, us).tolist() == [f25.sub(c, u) for u in range(25)]
+        assert f25.sub(us, c).tolist() == [f25.sub(u, c) for u in range(25)]
+    # The (rows, 1) by (q - 1,) broadcast of decompose_theta_sum.
+    squares = f25.mul(us[1:], us[1:])
+    diff = f25.sub(us[:6, None], squares)
+    assert diff.shape == (6, 24)
+    assert diff.tolist() == [[f25.sub(u, s) for s in squares.tolist()]
+                             for u in range(6)]
 
 
 def test_pow_elem_scalar_and_array_agree(f13):
@@ -255,11 +328,8 @@ def test_codes_outside_the_field_are_refused(f25, x):
 @pytest.mark.parametrize("p,e", [(13, 1), (5, 2)])
 def test_field_tables_are_read_only(p, e):
     ctx = build_field(p, e)
-    tables = [ctx.exp_table, ctx.log_table, ctx.trace_table,
-              ctx.one_minus_log]
-    if e > 1:
-        tables += [ctx._digits, ctx._pows]
-    for table in tables:
+    for table in (ctx.exp_table, ctx.log_table, ctx.trace_table,
+                  ctx.one_minus_log):
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[1] = 0
@@ -312,15 +382,12 @@ def test_mod_is_exact_up_to_two_to_the_forty():
 
 
 def test_one_minus_log_table():
-    # 1 - g^i by digit arithmetic (ctx.sub, checked against digits taken
-    # by division), where the field builds its table of 1 - x from
-    # per-digit tables.
+    # 1 - g^i by digits taken by division, where the field builds its table
+    # of 1 - x from per-digit tables (and ctx.sub reads the table back).
     for p, e in EXTENSION_FIELDS:
         ctx = build_field(p, e)
-        one_minus = ctx.sub(np.int64(1), ctx.exp_table)
-        digits = ctx.exp_table[:, None] // p ** np.arange(e) % p
-        digits = (np.eye(1, e, dtype=np.int64) - digits) % p
-        assert np.array_equal(digits @ p ** np.arange(e), one_minus)
+        one_minus = digitwise(ctx, 1, ctx.exp_table, -1)
+        assert np.array_equal(ctx.sub(np.int64(1), ctx.exp_table), one_minus)
         assert np.flatnonzero(one_minus == 0).tolist() == [0]
         assert ctx.one_minus_log[0] == -1
         assert np.array_equal(ctx.exp_table[ctx.one_minus_log[1:]],

@@ -15,6 +15,7 @@ import pytest
 import sympy
 
 from hypercount import (
+    ComplexRing,
     CurveParams,
     ExactModulusTooLarge,
     FloatRangeExceeded,
@@ -153,6 +154,22 @@ def test_float_ring_tables_are_bitwise_the_old_expressions(p, e):
     u = ring.roots_p[ctx.trace_table[ctx.exp_table]]
     assert ring.gauss_array.tobytes() == \
         (np.fft.ifft(u) * (q - 1)).tobytes()
+
+
+def test_prime_field_count_keeps_no_p_root_table():
+    # On a prime field p = q, so a p-root table is as long as the field;
+    # the Gauss table reads its additive characters off exp_table instead.
+    ctx = build_field(100801)
+    ring = ComplexRing(ctx)
+    count_points(ctx, CurveParams("B", 4, 5, 11), ring=ring)
+    held = [a for a in vars(ring).values() if isinstance(a, np.ndarray)]
+    for cache in (v for v in vars(ring).values() if isinstance(v, dict)):
+        held += [a for a in cache.values() if isinstance(a, np.ndarray)]
+    assert held and all(a.shape != (ctx.p,) for a in held)
+    assert "roots_p" not in vars(ring)
+    assert not ring.roots_p.flags.writeable
+    assert ring.roots_p.tobytes() == \
+        np.exp(2j * np.pi * np.arange(ctx.p) / ctx.p).tobytes()
 
 
 def test_get_ring_caches_per_field(f13):
