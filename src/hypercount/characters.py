@@ -133,7 +133,8 @@ def jacobi_sum(A: MultChar, B: MultChar, ring=None) -> CharValue:
     ring = _default_ring(ctx, ring)
     Q = ctx.q - 1
     i = np.arange(1, Q, dtype=np.int64)
-    lom = ctx.one_minus_log[1:]
+    # int64: the table is int32, and B.index·dlog(1 - x) reaches (q-1)^2.
+    lom = ctx.one_minus_log[1:].astype(np.int64)
     exps = (A.index * i + B.index * lom) % Q
     return ring.wrap(ring.sum_vec(ring.root_unity_vec(exps)))
 

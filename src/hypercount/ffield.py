@@ -37,6 +37,16 @@ kernels), and the F_p-valued trace of every element.  A :class:`FieldCtx`
 is immutable after construction (its tables are read-only numpy arrays)
 and safe to share between threads.
 
+Every table is int32, 4 bytes an entry: each entry is a code, a log or a
+trace below q, or the sentinel -1.  :func:`build_field` refuses q above
+``MAX_FIELD_SIZE`` = 2^30 whatever the table budget, so that the sum of
+two entries (two logs in ``mul``, a log and a shift in ``add``) is below
+2^31 and int32 arithmetic on them cannot wrap.  A product of an entry
+with an index or a log can pass 2^31, so it is taken in int64: in
+``pow_elem``, in :func:`_power_table`, and by every caller outside this
+module that multiplies a table entry (numpy keeps int32 when the other
+factor is a Python int).
+
 Arithmetic runs on these tables alone.  A prime field adds mod p.  An
 extension field keeps no digit table: it adds by Zech logarithms, and
 ``one_minus_log`` is its Zech table.  For nonzero u = g^a and w = g^b,
@@ -57,6 +67,9 @@ from .errors import LogOfZero, NotPrime, TableBudgetExceeded, format_int
 
 #: Default cap on q; fields larger than this refuse to build.
 DEFAULT_TABLE_BUDGET = 2**20
+
+#: Largest q any budget admits: int32 tables, and sums of two entries, fit.
+MAX_FIELD_SIZE = 2**30
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -169,6 +182,12 @@ def _companions(codes: np.ndarray, p: int, e: int) -> np.ndarray:
     return c
 
 
+def _int_unless_array(x):
+    """A numpy scalar as a Python int; an array as it is.  Callers test
+    ``type(x) is int`` first, so int arithmetic pays no call."""
+    return x if isinstance(x, np.ndarray) else int(x)
+
+
 # --------------------------------------------------------------------------
 # FieldCtx
 # --------------------------------------------------------------------------
@@ -182,12 +201,18 @@ class FieldCtx:
         modulus: monic irreducible coefficient tuple, low-to-high degree.
         g: code of the fixed multiplicative generator.
         exp_table: ``exp_table[i]`` is the code of ``g**i``, length q-1.
-        log_table: inverse of ``exp_table``; entry 0 holds the sentinel -1.
-        trace_table: F_p-valued trace of every element, indexed by code.
-        one_minus_log: ``one_minus_log[i] = dlog(1 - g**i)`` with sentinel
-            -1 at i = 0 (where 1 - g**0 = 0); on an extension field also
-            the Zech logarithm table of ``add``, ``sub`` and ``neg``.
+        log_table: inverse of ``exp_table``, length q; entry 0 holds the
+            sentinel -1.
+        trace_table: F_p-valued trace of every element, indexed by code,
+            length q.
+        one_minus_log: ``one_minus_log[i] = dlog(1 - g**i)``, length q-1,
+            with sentinel -1 at i = 0 (where 1 - g**0 = 0); on an
+            extension field also the Zech logarithm table of ``add``,
+            ``sub`` and ``neg``.
         _digits, _pows: always None; the field keeps no digit table.
+
+    The four tables are read-only int32 arrays: every entry lies in
+    [-1, q) and q <= 2^30 (see the module docstring).
     """
 
     __slots__ = (
@@ -204,17 +229,17 @@ class FieldCtx:
         self.modulus = modulus
         self.g = g
         self.exp_table = exp_table
-        log_table = np.full(self.q, -1, dtype=np.int64)
-        log_table[exp_table] = np.arange(self.q - 1, dtype=np.int64)
+        log_table = np.full(self.q, -1, dtype=np.int32)
+        log_table[exp_table] = np.arange(self.q - 1, dtype=np.int32)
         self.log_table = log_table
-        digit = np.arange(p, dtype=np.int64)
+        digit = np.arange(p, dtype=np.int32)
         self._digits = self._pows = None
         if e == 1:
             one_minus = 1 - exp_table
             one_minus %= p
         else:
             # 1 - x has digit 0 equal to 1 - c_0 and digit i > 0 equal to -c_i.
-            pows = p ** np.arange(e, dtype=np.int64)
+            pows = p ** np.arange(e, dtype=np.int32)
             one_minus = _digit_sum([(int(i == 0) - digit) % p * w
                                     for i, w in enumerate(pows)])[exp_table]
         self.one_minus_log = log_table.take(one_minus)
@@ -222,7 +247,8 @@ class FieldCtx:
         if e > 1:
             # tr(x^j) = sum_i (x^j)^(p^i) lies in F_p, so its code is the
             # trace itself; the trace of any code is linear in its digits.
-            # The sum runs through add, so one_minus_log comes first.
+            # The sum runs through add, so one_minus_log comes first.  A
+            # digit times a trace is below p^2 <= q.
             conjugates = (self.pow_elem(pows, p**i) for i in range(e))
             traces = reduce(self.add, conjugates)
             self.trace_table = _digit_sum([digit * t % p for t in traces]) % p
@@ -234,17 +260,20 @@ class FieldCtx:
 
     def add(self, u, v):
         if self.e == 1:
-            return (u + v) % self.p
+            r = (u + v) % self.p
+            return r if type(r) is int else _int_unless_array(r)
         return self._zech(u, v, (self.q - 1) // 2)
 
     def sub(self, u, v):
         if self.e == 1:
-            return (u - v) % self.p
+            r = (u - v) % self.p
+            return r if type(r) is int else _int_unless_array(r)
         return self._zech(u, v, 0)
 
     def neg(self, u):
         if self.e == 1:
-            return (-u) % self.p
+            r = (-u) % self.p
+            return r if type(r) is int else _int_unless_array(r)
         return self.mul(int(self.exp_table[(self.q - 1) // 2]), u)  # -1 · u
 
     def _zech(self, u, v, shift: int):
@@ -366,19 +395,21 @@ def _exp_table(m: np.ndarray, q: int, p: int) -> np.ndarray:
         _mod(np.matmul(rows[:n], m, out=rows[s:s + n]), p)
         m = _mod(m @ m, p)
         s += n
-    return (rows @ p ** np.arange(e, dtype=np.float64)).astype(np.int64)
+    return (rows @ p ** np.arange(e, dtype=np.float64)).astype(np.int32)
 
 
 def _power_table(g: int, p: int) -> np.ndarray:
     """g^0, ..., g^(p-2) mod p: the prime field's exp table, doubled like
-    :func:`_exp_table` on the 1 x 1 matrix [[g]]."""
-    table = np.empty(p - 1, dtype=np.int64)
+    :func:`_exp_table` on the 1 x 1 matrix [[g]].  The table is int32;
+    each product g^s·g^i (below p^2) is taken in an int64 buffer."""
+    table = np.empty(p - 1, dtype=np.int32)
     table[0] = 1
+    prod = np.empty((p - 1) // 2, dtype=np.int64)
     s = 1
     while s < p - 1:
         n = min(s, p - 1 - s)
-        np.multiply(table[:n], g, out=table[s:s + n])
-        table[s:s + n] %= p
+        np.multiply(table[:n], g, out=prod[:n], dtype=np.int64)
+        np.remainder(prod[:n], p, out=table[s:s + n])
         g = g * g % p
         s += n
     return table
@@ -417,13 +448,16 @@ def build_field(p: int, e: int = 1,
 
     Raises:
         NotPrime: if p is not an odd prime.
-        TableBudgetExceeded: if p**e exceeds ``table_budget``.
+        TableBudgetExceeded: if p**e exceeds ``table_budget`` or
+            ``MAX_FIELD_SIZE``, before any table is allocated; the error's
+            budget is the smaller of the two.
         ValueError: if e < 1.
     """
     if e < 1:
         raise ValueError(f"extension degree must be >= 1, got {e}")
     if p == 2 or not is_prime(p):
         raise NotPrime(p)
+    table_budget = min(table_budget, MAX_FIELD_SIZE)
     if e > table_budget.bit_length():  # p**e >= 3**e > table_budget
         raise TableBudgetExceeded(f"{format_int(p)}^{format_int(e)}",
                                   table_budget)

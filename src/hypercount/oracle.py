@@ -243,6 +243,7 @@ def verify_lemmas(ctx: FieldCtx, ring=None) -> list[IdentityReport]:
     terms = ring.split_empty((Q, Q))
     for lo in range(0, Q, rows):
         oml = ctx.one_minus_log[lo:lo + rows, None]
+        # neg is int64, so the int32 table entries multiply in int64.
         ring.split(roots[oml * neg % Q], out=terms[lo:lo + rows])
     terms[0] = 0                 # x = 1, where 1 - x = 0
     jacobi, by_char, col_sums, theta = [], [], [], []

@@ -159,6 +159,27 @@ def test_jacobi_magnitude_and_gauss_ratio(f13):
     assert abs(j.payload * gauss_sum(A * B, ring).payload - ratio.payload) < 1e-6
 
 
+def test_jacobi_gauss_ratio_where_index_products_pass_int32(backend):
+    # At q = 100801, B.index·dlog(1 - x) reaches (q-1)^2 > 2^31, past the
+    # field's int32 tables: J(A, B) = G(A)G(B)/G(AB) for AB nontrivial.
+    ctx = build_field(100801)
+    ring = get_ring(ctx, backend)
+    Q = ctx.q - 1
+    assert Q * Q > 2**31
+    rng = np.random.default_rng(100801)
+    pairs = rng.integers(Q // 2, Q, (4, 2)).tolist() + [[Q - 1, Q - 2]]
+    for ka, kb in pairs:
+        A, B = MultChar(ctx, ka), MultChar(ctx, kb)
+        assert not (A * B).is_trivial
+        j = jacobi_sum(A, B, ring)
+        lhs = j * gauss_sum(A * B, ring)
+        rhs = gauss_sum(A, ring) * gauss_sum(B, ring)
+        assert lhs.isclose(rhs, scale=ctx.q ** 1.5), (ka, kb)
+        if backend == "float":
+            ratio = rhs.payload / gauss_sum(A * B, ring).payload
+            assert abs(j.payload - ratio) <= 1e-6 * ctx.q, (ka, kb)
+
+
 # ---------------------------------------------------------------------------
 # Binomial dual-routing: definitional vs Gauss-kernel
 # ---------------------------------------------------------------------------

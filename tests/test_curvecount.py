@@ -5,6 +5,7 @@ character templates and series arguments the closed forms are built
 from, and exercise every validation branch.
 """
 
+import numpy as np
 import pytest
 
 from hypercount import (
@@ -29,6 +30,8 @@ from hypercount import (
     trace_frobenius_linear,
     trace_frobenius_quadratic,
 )
+from hypercount.ffield import _build_field_cached
+from hypercount.values import _RING_CACHE, ComplexRing, ResidueRing
 
 
 def indices(chars):
@@ -145,6 +148,23 @@ CASES = [
     (73, 1, "A", 4), (73, 1, "B", 4), (41, 1, "A", 5), (41, 1, "B", 5),
     (5, 2, "A", 4), (5, 2, "B", 3), (7, 1, "B", 3), (11, 2, "A", 5),
 ]
+
+
+@pytest.mark.parametrize("p,e,family,d", [(100801, 1, "B", 4),
+                                          (17, 4, "A", 4)])
+def test_cold_counts_on_large_fields_match_oracle(p, e, family, d, backend):
+    # A field and ring built afresh, past (q-1)^2 > 2^31, where an int32
+    # table entry times an index would wrap.
+    ctx = _build_field_cached.__wrapped__(p, e)
+    ring = ComplexRing(ctx) if backend == "float" else ResidueRing(ctx)
+    try:
+        rng = np.random.default_rng(p**e)
+        for a, b in rng.integers(1, ctx.q, (3, 2)).tolist():
+            curve = CurveParams(family, d, a, b)
+            assert count_points(ctx, curve, ring=ring).n_points \
+                == brute_count(ctx, curve), curve
+    finally:
+        _RING_CACHE.pop(ctx, None)
 
 
 @pytest.mark.parametrize("p,e,family,d", CASES)

@@ -6,8 +6,10 @@ log-table machinery the package uses.
 """
 
 import hashlib
+import json
 import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -280,6 +282,27 @@ def test_vectorized_ops_match_scalar(f25):
                              for u in range(6)]
 
 
+@pytest.mark.parametrize("p,e", [(13, 1), (100801, 1), (5, 2), (17, 4)])
+def test_scalar_add_sub_neg_return_ints_for_numpy_scalars(p, e):
+    # Table entries are numpy.int32; a result fed back in must still come
+    # out a Python int, as mul, inv and pow_elem return.
+    ctx = build_field(p, e)
+    rng = random.Random(p**e)
+    for _ in range(50):
+        u, v = rng.randrange(ctx.q), rng.randrange(ctx.q)
+        for kind in (int, np.int32, np.int64):
+            results = (ctx.add(kind(u), kind(v)), ctx.sub(kind(u), kind(v)),
+                       ctx.neg(kind(u)), ctx.add(kind(u), v),
+                       ctx.sub(u, kind(v)))
+            assert all(type(r) is int for r in results), (kind, results)
+            assert results == (ctx.add(u, v), ctx.sub(u, v), ctx.neg(u),
+                               ctx.add(u, v), ctx.sub(u, v))
+            json.dumps(results)
+    entry = ctx.exp_table[rng.randrange(ctx.q - 1)]
+    assert type(entry) is np.int32
+    assert type(ctx.add(entry, entry)) is type(ctx.neg(entry)) is int
+
+
 def test_pow_elem_scalar_and_array_agree(f13):
     us = np.arange(f13.q, dtype=np.int64)
     for n in (0, 1, 2, 3, 7, 12, -1, -5):
@@ -325,14 +348,19 @@ def test_codes_outside_the_field_are_refused(f25, x):
         trace_map(f25, x)
 
 
-@pytest.mark.parametrize("p,e", [(13, 1), (5, 2)])
+@pytest.mark.parametrize("p,e", [(p, e) for p, e, *_ in PINNED_FIELDS])
 def test_field_tables_are_read_only(p, e):
+    # Read-only int32 of their stated lengths, on every pinned field.
     ctx = build_field(p, e)
-    for table in (ctx.exp_table, ctx.log_table, ctx.trace_table,
-                  ctx.one_minus_log):
+    q = ctx.q
+    for table, length in ((ctx.exp_table, q - 1), (ctx.log_table, q),
+                          (ctx.trace_table, q), (ctx.one_minus_log, q - 1)):
+        assert table.dtype == np.int32
+        assert table.shape == (length,)
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[1] = 0
+    assert ctx._digits is None and ctx._pows is None
 
 
 EXTENSION_FIELDS = [(p, e) for p, e, *_ in PINNED_FIELDS if e > 1]
@@ -358,7 +386,7 @@ def int_exp_table(m, q, p):
 def test_prime_power_table_is_the_matrix_doubling(p):
     g = least_primitive_root(p)
     table = ffield._power_table(g, p)
-    assert table.dtype == np.int64
+    assert table.dtype == np.int32
     assert np.array_equal(table, int_exp_table([[g]], p, p))
     assert np.array_equal(build_field(p).exp_table, table)
 
@@ -368,7 +396,7 @@ def test_float_exp_table_is_the_int64_doubling(p, e):
     modulus, c = ffield._find_modulus(p, e)
     g, m = ffield._find_generator(p, e, c)
     table = ffield._exp_table(m, p**e, p)
-    assert table.dtype == np.int64
+    assert table.dtype == np.int32
     assert np.array_equal(table, int_exp_table(m, p**e, p))
 
 
@@ -432,7 +460,7 @@ def test_trace_table_is_the_conjugate_sum_everywhere(p, e):
 ])
 def test_trace_table_is_pinned(p, e, digest):
     table = build_field(p, e).trace_table
-    assert table.dtype == np.int64
+    assert table.dtype == np.int32
     assert hashlib.sha256(table.astype(np.uint8).tobytes()).hexdigest() == digest
 
 
@@ -461,6 +489,29 @@ def test_table_budget_is_enforced():
         build_field(1009, table_budget=1000)
     with pytest.raises(TableBudgetExceeded):
         build_field(5, 9)  # 5^9 ~ 1.9M exceeds the default 2^20 budget
+
+
+@pytest.mark.parametrize("p,e", [
+    (2147483659, 1),   # the least prime past 2^31: int32 cannot hold q
+    (2**31 - 1, 1),    # a Mersenne prime: int32 holds q but not 2q
+    (1073741827, 1),   # the least prime past 2^30
+    (3, 19),           # 3^19 ~ 1.16·2^30
+])
+def test_fields_past_two_to_the_thirty_are_refused_whatever_the_budget(p, e):
+    # Two table entries must sum below 2^31.  The refusal comes before any
+    # table is allocated, so it takes neither time nor memory.
+    assert p**e > ffield.MAX_FIELD_SIZE == 2**30
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(TableBudgetExceeded) as info:
+            build_field(p, e, table_budget=2**40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 0.5
+    assert peak < 2**20
+    assert info.value.budget == 2**30
 
 
 def test_huge_extension_degree_is_refused_before_computing_q():
