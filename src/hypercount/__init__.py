@@ -66,7 +66,14 @@ from .errors import (
     TableBudgetExceeded,
     ZeroCoefficient,
 )
-from .ffield import DEFAULT_TABLE_BUDGET, FieldCtx, build_field, dlog, trace_map
+from .ffield import (
+    DEFAULT_TABLE_BUDGET,
+    FieldCtx,
+    build_field,
+    cache_info,
+    dlog,
+    trace_map,
+)
 from .hypergeom import (
     HgfSpec,
     coefficient_vector,
@@ -131,6 +138,7 @@ __all__ = [
     "binom_column",
     "brute_count",
     "build_field",
+    "cache_info",
     "char_of_order",
     "coefficient_vector",
     "count_points",

@@ -103,13 +103,18 @@ def _odd_prime_of(q: int) -> int | None:
     return factors[0] if len(factors) == 1 else None
 
 
-def _field_for(q: int, config: RunConfig) -> FieldCtx:
+def _field_params(q: int, config: RunConfig) -> tuple[int, int]:
+    """(p, e) with q = p**e, or the refusal of q, without building tables."""
     if q >= 3 and q % 2 and q > config.table_budget:  # before factoring
         raise TableBudgetExceeded(q, config.table_budget)
     if (p := _odd_prime_of(q)) is None:
         raise _UsageError(f"{q} is not an odd prime power")
-    e = next(e for e in range(1, q) if p**e == q)
-    return build_field(p, e, table_budget=config.table_budget)
+    return p, next(e for e in range(1, q) if p**e == q)
+
+
+def _field_for(q: int, config: RunConfig) -> FieldCtx:
+    return build_field(*_field_params(q, config),
+                       table_budget=config.table_budget)
 
 
 def _ring_for(ctx: FieldCtx, config: RunConfig):
@@ -118,12 +123,17 @@ def _ring_for(ctx: FieldCtx, config: RunConfig):
     return get_ring(ctx, "exact")
 
 
-def _backend_info(config: RunConfig, rings) -> dict:
+def _ell_pair(ring) -> tuple[int, int | None]:
+    """What the backend report keeps of a ring: q, and ell if exact."""
+    return ring.ctx.q, getattr(ring, "ell", None)
+
+
+def _backend_info(config: RunConfig, ells) -> dict:
     info = {"backend": config.backend}
     if config.backend == "float":
         info["tolerance"] = config.tolerance
     else:
-        info["ell"] = {str(r.ctx.q): r.ell for r in rings}
+        info["ell"] = {str(q): ell for q, ell in ells}
     return info
 
 
@@ -187,7 +197,7 @@ def cmd_count(q: int, family: str, d: int, a: int, b: int,
         "d": curve.d,
         "a": curve.a,
         "b": curve.b,
-        "backend": _backend_info(config, [ring]),
+        "backend": _backend_info(config, [_ell_pair(ring)]),
         "result": {
             "n_points": result.n_points,
             "method": result.method,
@@ -244,18 +254,18 @@ def cmd_sweep(q_max: int, d_list: tuple[int, ...], samples: int,
         if d < 2:
             raise _UsageError(f"degrees must be >= 2, got {d}")
     rows = []
-    rings = []
+    ells = []
     budget = config.table_budget
     for q in _odd_prime_powers(min(q_max, budget), budget):
-        ctx = None
+        ctx = ring = None
         for d in d_list:
             for family in families:
                 if (q - 1) % required_congruence(family, d):
                     continue
                 if ctx is None:
                     ctx = _field_for(q, config)
-                    rings.append(_ring_for(ctx, config))
-                ring = rings[-1]
+                    ring = _ring_for(ctx, config)
+                    ells.append(_ell_pair(ring))
                 for a, b in _sample_pairs(q, d, family, samples, config.seed):
                     start = time.perf_counter()
                     result = count_points(ctx, CurveParams(family, d, a, b),
@@ -283,7 +293,7 @@ def cmd_sweep(q_max: int, d_list: tuple[int, ...], samples: int,
     elif config.output_format == "json":
         doc = {"command": "sweep", "q_max": q_max, "d_list": list(d_list),
                "samples": samples, "seed": config.seed,
-               "backend": _backend_info(config, rings),
+               "backend": _backend_info(config, ells),
                "rows": rows, "summary": summary}
         print(json.dumps(doc, sort_keys=True, indent=2))
     else:
@@ -345,19 +355,23 @@ def cmd_verify(qs: tuple[int, ...], config: RunConfig) -> int:
     """Run identity suites on each field; exit 0 iff everything passes."""
     if not qs:
         raise _UsageError("verify needs at least one --q or a --q-max range")
-    ctxs = [_field_for(q, config) for q in qs]  # refuse before any work
-    rings = [_ring_for(ctx, config) for ctx in ctxs]
-    fields = [_verify_field(ctx, ring, config.seed)
-              for ctx, ring in zip(ctxs, rings)]
+    params = [_field_params(q, config) for q in qs]  # refuse before any work
+    fields = []
+    ells = []
+    for p, e in params:  # one field and ring alive at a time
+        ctx = build_field(p, e, table_budget=config.table_budget)
+        ring = _ring_for(ctx, config)
+        ells.append(_ell_pair(ring))
+        fields.append(_verify_field(ctx, ring, config.seed))
     failures = sum(1 for f in fields
                    for i in f["identities"] if not i["passed"])
     failures += sum(1 for f in fields
                     for dec in f["decompositions"] if not dec["match"])
-    doc = {"command": "verify", "backend": _backend_info(config, rings),
+    doc = {"command": "verify", "backend": _backend_info(config, ells),
            "fields": fields, "summary": {"failures": failures}}
 
     lines = [f"backend={config.backend}"
-             + ("".join(f" ell[q={r.ctx.q}]={r.ell}" for r in rings)
+             + ("".join(f" ell[q={q}]={ell}" for q, ell in ells)
                 if config.backend == "exact" else "")]
     for f in fields:
         lines.append(f"q={f['q']}")

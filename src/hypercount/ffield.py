@@ -37,6 +37,13 @@ kernels), and the F_p-valued trace of every element.  A :class:`FieldCtx`
 is immutable after construction (its tables are read-only numpy arrays)
 and safe to share between threads.
 
+:func:`build_field` keeps its fields in one least-recently-used cache,
+which also holds the value rings :func:`~hypercount.values.get_ring`
+builds on each field, and so every array those rings cache.  Its bytes
+are bounded by ``CACHE_BYTES``; the most recently used field always
+stays, and a field (or ring) a caller still holds is returned again
+after eviction.  See :class:`_FieldCache` and :func:`cache_info`.
+
 Every table is int32, 4 bytes an entry: each entry is a code, a log or a
 trace below q, or the sentinel -1.  :func:`build_field` refuses q above
 ``MAX_FIELD_SIZE`` = 2^30 whatever the table budget, so that the sum of
@@ -58,8 +65,12 @@ since -1 = g^((q-1)/2).  Products, inverses and powers add or scale logs.
 from __future__ import annotations
 
 import math
-from functools import lru_cache, reduce
+import threading
+import weakref
+from collections import OrderedDict
+from functools import reduce
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,6 +81,10 @@ DEFAULT_TABLE_BUDGET = 2**20
 
 #: Largest q any budget admits: int32 tables, and sums of two entries, fit.
 MAX_FIELD_SIZE = 2**30
+
+#: Bytes of fields, rings and ring arrays the field cache keeps beyond its
+#: most recently used field (see :class:`_FieldCache`).
+CACHE_BYTES = 8 * 2**20
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -218,7 +233,7 @@ class FieldCtx:
     __slots__ = (
         "p", "e", "q", "modulus", "g",
         "exp_table", "log_table", "trace_table", "one_minus_log",
-        "_digits", "_pows",
+        "_digits", "_pows", "__weakref__",
     )
 
     def __init__(self, p: int, e: int, modulus: tuple[int, ...], g: int,
@@ -255,6 +270,12 @@ class FieldCtx:
         for table in (exp_table, log_table, self.trace_table,
                       self.one_minus_log):
             table.setflags(write=False)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the four tables: 16 per element of F_q."""
+        return sum(t.nbytes for t in (self.exp_table, self.log_table,
+                                      self.trace_table, self.one_minus_log))
 
     # -- arithmetic on codes (accept and return ints or numpy arrays) ------
 
@@ -432,8 +453,8 @@ def _find_generator(p: int, e: int, c: np.ndarray) -> tuple[int, np.ndarray]:
             return int(codes[0]), mats[0]
 
 
-@lru_cache(maxsize=None)
-def _build_field_cached(p: int, e: int) -> FieldCtx:
+def _build_tables(p: int, e: int) -> FieldCtx:
+    """A new F_{p^e}, outside the cache and unchecked."""
     if e == 1:
         g = least_primitive_root(p)
         return FieldCtx(p, 1, ((-g) % p, 1), g, _power_table(g, p))
@@ -442,9 +463,167 @@ def _build_field_cached(p: int, e: int) -> FieldCtx:
     return FieldCtx(p, e, modulus, g, _exp_table(m, p**e, p))
 
 
+# --------------------------------------------------------------------------
+# The field cache
+# --------------------------------------------------------------------------
+
+
+class CacheInfo(NamedTuple):
+    """Counters of the field cache; see :func:`cache_info`."""
+
+    hits: int
+    misses: int
+    evictions: int
+    bytes: int
+    cap: int
+
+
+class _FieldCache:
+    """One least-recently-used cache of fields and the rings built on them.
+
+    ``entries`` maps each cached field to the dict of its rings, keyed as
+    :func:`~hypercount.values.get_ring` keys them, least recently used
+    first; a lookup of a field or of one of its rings moves the field
+    last.  A ring owns every array it caches (Gauss table, roots, series
+    spectra and coefficient vectors, binomial columns, the decomposition
+    table), so an evicted field takes them with it.
+
+    Bytes are measured only when a field or ring is added, and only for
+    the fields used since their last measurement (a ring's arrays grow
+    while it is in use): each lookup marks its own field and the one most
+    recently used before it, whose last use it ends.  Then the least
+    recently used fields are evicted until the total is at most ``cap`` or
+    one field is left.  So after each addition the cache holds at most
+    ``cap`` bytes besides its most recently used field, which it always
+    keeps.  Lookups that hit measure nothing.  A ring that a caller holds
+    and fills without a lookup is counted at its last measurement until
+    its field is next looked up; evicting that field would free nothing
+    anyway.
+
+    ``_live`` maps (p, e) to every field built here, and (field, key) to
+    every ring, weakly.  A field or ring a caller still holds is thus
+    returned again after its eviction, not rebuilt: characters, series and
+    ring values made before an eviction still mix with those made after it
+    without :class:`~hypercount.errors.MixedFieldContexts`.  :meth:`clear`
+    forgets every field and ring, held or not, and zeroes the counters.
+
+    One lock guards each lookup, builds included.
+    """
+
+    def __init__(self, cap: int):
+        self.cap = cap
+        self.entries: OrderedDict[FieldCtx, _Rings] = OrderedDict()
+        self._live = weakref.WeakValueDictionary()
+        self._lock = threading.Lock()
+        self.hits = self.misses = self.evictions = 0
+
+    def field(self, p: int, e: int) -> FieldCtx:
+        with self._lock:
+            ctx = self._live.get((p, e))
+            if ctx is None:
+                ctx = self._live[p, e] = _build_tables(p, e)
+                self.misses += 1
+            else:
+                self.hits += 1
+            self._entry(ctx)
+            return ctx
+
+    def ring(self, ctx: FieldCtx, key, make):
+        """The ring cached on ctx under key, or ``make()`` cached there."""
+        with self._lock:
+            rings = self._entry(ctx)
+            ring = rings.get(key) or self._live.get((ctx, key))
+            if ring is None:
+                ring = self._live[ctx, key] = make()
+                self.misses += 1
+            else:
+                self.hits += 1
+            if key not in rings:
+                rings[key] = ring
+                self._shrink()
+            return ring
+
+    def _entry(self, ctx: FieldCtx) -> _Rings:
+        """ctx's rings, with ctx moved, or added, last."""
+        entries = self.entries
+        if entries:   # the field in use until now may have grown
+            entries[next(reversed(entries))].nbytes = None
+        rings = entries.get(ctx)
+        if rings is None:
+            rings = entries[ctx] = _Rings()
+            self._shrink()
+        else:
+            entries.move_to_end(ctx)
+            rings.nbytes = None
+        return rings
+
+    def _shrink(self) -> None:
+        total = 0
+        for ctx, rings in self.entries.items():
+            if rings.nbytes is None:
+                rings.nbytes = _held_bytes(ctx, rings)
+            total += rings.nbytes
+        while total > self.cap and len(self.entries) > 1:
+            _, rings = self.entries.popitem(last=False)
+            total -= rings.nbytes
+            self.evictions += 1
+
+    def info(self) -> CacheInfo:
+        with self._lock:
+            held = sum(_held_bytes(*entry) for entry in self.entries.items())
+            return CacheInfo(self.hits, self.misses, self.evictions, held,
+                             self.cap)
+
+    def clear(self) -> None:
+        with self._lock:
+            self.entries.clear()
+            self._live.clear()
+            self.hits = self.misses = self.evictions = 0
+
+
+class _Rings(dict):
+    """A cached field's rings by key, and ``nbytes``: the bytes of the
+    field and its rings when last measured, or None to measure again."""
+
+    __slots__ = ("nbytes",)
+
+    def __init__(self):
+        self.nbytes = None
+
+
+def _held_bytes(ctx: FieldCtx, rings: dict) -> int:
+    return ctx.nbytes + sum(ring.nbytes for ring in rings.values())
+
+
+_CACHE = _FieldCache(CACHE_BYTES)
+
+
+def cache_info() -> CacheInfo:
+    """Counters of the cache that :func:`build_field` and
+    :func:`~hypercount.values.get_ring` share: ``hits``, lookups answered
+    without a build; ``misses``, fields and rings built; ``evictions``,
+    fields dropped with their rings; ``bytes`` held, measured now; and the
+    ``cap``, ``CACHE_BYTES``."""
+    return _CACHE.info()
+
+
+def _build_field_cached(p: int, e: int) -> FieldCtx:
+    """The cached build, under the name and interface of the
+    ``functools.lru_cache`` it replaced, which the benchmark reads:
+    ``cache_info().misses`` counts builds, ``cache_clear()`` forgets every
+    field and ring, and ``__wrapped__`` builds outside the cache."""
+    return _CACHE.field(p, e)
+
+
+_build_field_cached.cache_info = cache_info
+_build_field_cached.cache_clear = _CACHE.clear
+_build_field_cached.__wrapped__ = _build_tables
+
+
 def build_field(p: int, e: int = 1,
                 table_budget: int = DEFAULT_TABLE_BUDGET) -> FieldCtx:
-    """Construct F_{p^e} with all lookup tables.
+    """Construct F_{p^e} with all lookup tables, or return it from the
+    field cache (see the module docstring).
 
     Raises:
         NotPrime: if p is not an odd prime.
@@ -463,7 +642,7 @@ def build_field(p: int, e: int = 1,
                                   table_budget)
     if p**e > table_budget:
         raise TableBudgetExceeded(p**e, table_budget)
-    return _build_field_cached(p, e)
+    return _CACHE.field(p, e)
 
 
 # --------------------------------------------------------------------------

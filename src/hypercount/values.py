@@ -49,7 +49,7 @@ from .errors import (
     MixedFieldContexts,
     NonIntegerResult,
 )
-from .ffield import FieldCtx, is_prime, least_primitive_root
+from .ffield import _CACHE, FieldCtx, is_prime, least_primitive_root
 
 #: Default absolute tolerance for integer-valued float results.
 DEFAULT_TOLERANCE = 1e-6
@@ -178,6 +178,16 @@ def _roots_of_unity(n: int, ks=None) -> np.ndarray:
     return roots
 
 
+def _ring_nbytes(ring) -> int:
+    """Bytes of a ring's arrays: its root tables, Gauss and decomposition
+    tables, and the columns, coefficient vectors and spectra it caches (an
+    object array counts its pointers)."""
+    arrays = [a for a in vars(ring).values() if isinstance(a, np.ndarray)]
+    for cache in (ring._binom_cache, ring._hgf_cache, ring._spectra):
+        arrays.extend(cache.values())
+    return sum(a.nbytes for a in arrays)
+
+
 class ComplexRing:
     """Floating-point backend: values are numpy complex128 scalars/arrays.
 
@@ -186,6 +196,7 @@ class ComplexRing:
     """
 
     backend = "float"
+    nbytes = property(_ring_nbytes)
 
     def __init__(self, ctx: FieldCtx, tolerance: float = DEFAULT_TOLERANCE):
         if not 0 < tolerance < math.inf:  # NaN fails every comparison
@@ -482,6 +493,7 @@ class ResidueRing:
     """
 
     backend = "exact"
+    nbytes = property(_ring_nbytes)
 
     def __init__(self, ctx: FieldCtx, d_max: int | None = None):
         if d_max is not None and d_max < 2:
@@ -830,7 +842,9 @@ class ResidueRing:
         return pow(self.ctx.q, k, self.ell)
 
 
-_RING_CACHE: dict[FieldCtx, dict] = {}
+#: The field cache's map from each cached field to its rings, under the
+#: name the benchmark reads.
+_RING_CACHE = _CACHE.entries
 
 
 def get_ring(ctx: FieldCtx, backend: str = "float", *,
@@ -838,19 +852,17 @@ def get_ring(ctx: FieldCtx, backend: str = "float", *,
              d_max: int | None = None):
     """Return the cached value ring of the requested backend for a field.
 
-    Rings, and the fields they hold, live until ``_RING_CACHE.clear()``.
+    Rings live in the field cache with their field (see :mod:`.ffield`):
+    evicted with it, and returned again while a caller still holds them.
     ``d_max`` applies to the exact backend only; leave it unset for the
     default modulus (see :class:`ResidueRing`).
     """
-    per_ctx = _RING_CACHE.setdefault(ctx, {})
     if backend == "float":
         key = ("float", tolerance)
-        if key not in per_ctx:
-            per_ctx[key] = ComplexRing(ctx, tolerance)
+        make = functools.partial(ComplexRing, ctx, tolerance)
     elif backend == "exact":
         key = ("exact", d_max)
-        if key not in per_ctx:
-            per_ctx[key] = ResidueRing(ctx, d_max)
+        make = functools.partial(ResidueRing, ctx, d_max)
     else:
         raise ValueError(f"unknown backend {backend!r}")
-    return per_ctx[key]
+    return _CACHE.ring(ctx, key, make)

@@ -296,6 +296,36 @@ def test_verify_refuses_past_the_budget_before_verifying(capsys, monkeypatch):
                    "table budget 270\n")
 
 
+def test_verify_refuses_a_bad_q_before_building_a_field(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a field")
+    monkeypatch.setattr(cli, "build_field", refuse)
+    for bad, message in (("15", "15 is not an odd prime power"),
+                         ("1048583", "exceeds the table budget")):
+        code, out, err = run(capsys, "verify", "--q", "13", "--q", bad)
+        assert (code, out) == (1, "")
+        assert message in err
+
+
+def test_verify_builds_and_verifies_one_field_at_a_time(capsys, monkeypatch):
+    calls = []
+    build, verify = cli.build_field, cli._verify_field
+
+    def build_logged(p, e, **kwargs):
+        calls.append(("build", p**e))
+        return build(p, e, **kwargs)
+
+    def verify_logged(ctx, ring, seed):
+        calls.append(("verify", ctx.q))
+        return verify(ctx, ring, seed)
+
+    monkeypatch.setattr(cli, "build_field", build_logged)
+    monkeypatch.setattr(cli, "_verify_field", verify_logged)
+    assert run(capsys, "verify", "--q", "5", "--q", "7", "--q", "9")[0] == 0
+    assert calls == [(step, q) for q in (5, 7, 9)
+                     for step in ("build", "verify")]
+
+
 # ---------------------------------------------------------------------------
 # Configuration
 # ---------------------------------------------------------------------------
