@@ -64,6 +64,7 @@ from .errors import (
     NotPrime,
     OrderDoesNotDivide,
     TableBudgetExceeded,
+    VerifierTableTooLarge,
     ZeroCoefficient,
 )
 from .ffield import (
@@ -131,6 +132,7 @@ __all__ = [
     "OrderDoesNotDivide",
     "ResidueRing",
     "TableBudgetExceeded",
+    "VerifierTableTooLarge",
     "ZeroCoefficient",
     "alpha_param",
     "beta_param",

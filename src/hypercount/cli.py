@@ -47,9 +47,14 @@ from .curvecount import (
     count_points,
     required_congruence,
 )
-from .errors import HypercountError, TableBudgetExceeded
+from .errors import (
+    HypercountError,
+    TableBudgetExceeded,
+    VerifierTableTooLarge,
+)
 from .ffield import DEFAULT_TABLE_BUDGET, FieldCtx, build_field, prime_factors
 from .oracle import (
+    VERIFY_TABLE_LIMIT,
     brute_count,
     davenport_hasse_products,
     decompose_theta_sum,
@@ -103,10 +108,14 @@ def _odd_prime_of(q: int) -> int | None:
     return factors[0] if len(factors) == 1 else None
 
 
-def _field_params(q: int, config: RunConfig) -> tuple[int, int]:
-    """(p, e) with q = p**e, or the refusal of q, without building tables."""
+def _field_params(q: int, config: RunConfig,
+                  verify: bool = False) -> tuple[int, int]:
+    """(p, e) with q = p**e, or the refusal of q, without building tables;
+    with ``verify``, also the refusal of a q past ``VERIFY_TABLE_LIMIT``."""
     if q >= 3 and q % 2 and q > config.table_budget:  # before factoring
         raise TableBudgetExceeded(q, config.table_budget)
+    if verify and (q - 1) ** 2 > VERIFY_TABLE_LIMIT:
+        raise VerifierTableTooLarge(q, VERIFY_TABLE_LIMIT)
     if (p := _odd_prime_of(q)) is None:
         raise _UsageError(f"{q} is not an odd prime power")
     return p, next(e for e in range(1, q) if p**e == q)
@@ -355,7 +364,8 @@ def cmd_verify(qs: tuple[int, ...], config: RunConfig) -> int:
     """Run identity suites on each field; exit 0 iff everything passes."""
     if not qs:
         raise _UsageError("verify needs at least one --q or a --q-max range")
-    params = [_field_params(q, config) for q in qs]  # refuse before any work
+    # Refuse before any work.
+    params = [_field_params(q, config, verify=True) for q in qs]
     fields = []
     ells = []
     for p, e in params:  # one field and ring alive at a time
@@ -488,7 +498,11 @@ def _run(argv) -> int:
         if args.command == "verify":
             qs = tuple(args.q or ())
             if args.q_max is not None:
-                qs += tuple(_odd_prime_powers(args.q_max, config.table_budget))
+                # Ends with the first q past the budget or the verifiers'
+                # limit, which cmd_verify refuses.
+                last = min(config.table_budget,
+                           math.isqrt(VERIFY_TABLE_LIMIT) + 1)
+                qs += tuple(_odd_prime_powers(args.q_max, last))
             return cmd_verify(qs, config)
         raise _UsageError(f"unknown command {args.command!r}")
     except (_UsageError, HypercountError, ValueError) as ex:

@@ -40,6 +40,18 @@ class TableBudgetExceeded(HypercountError):
                          f"{format_int(budget)}")
 
 
+class VerifierTableTooLarge(HypercountError):
+    """The identity verifiers' (q-1)×(q-1) tables would exceed their limit."""
+
+    def __init__(self, q: int, limit: int):
+        self.q = q
+        self.limit = limit
+        super().__init__(
+            f"verify at q={format_int(q)} needs (q-1)^2 = "
+            f"{format_int((q - 1) ** 2)} table entries, past the verifiers' "
+            f"limit of {limit}")
+
+
 class LogOfZero(HypercountError):
     """Discrete logarithm of the zero element was requested."""
 

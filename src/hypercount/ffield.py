@@ -610,14 +610,13 @@ def cache_info() -> CacheInfo:
 def _build_field_cached(p: int, e: int) -> FieldCtx:
     """The cached build, under the name and interface of the
     ``functools.lru_cache`` it replaced, which the benchmark reads:
-    ``cache_info().misses`` counts builds, ``cache_clear()`` forgets every
-    field and ring, and ``__wrapped__`` builds outside the cache."""
+    ``cache_info().misses`` counts builds, and ``cache_clear()`` forgets
+    every field and ring."""
     return _CACHE.field(p, e)
 
 
 _build_field_cached.cache_info = cache_info
 _build_field_cached.cache_clear = _CACHE.clear
-_build_field_cached.__wrapped__ = _build_tables
 
 
 def build_field(p: int, e: int = 1,

@@ -14,10 +14,13 @@ Everything the closed-form counts are tested against lives here:
 * :func:`verify_davenport_hasse` — the Davenport–Hasse product relation
   plus its specialization to products of Gauss sums along arithmetic
   progressions of indices; :func:`davenport_hasse_products` checks the
-  relation for every psi at once.  Each product of m Gauss factors is
-  one (m, q-1) gather multiplied down in pairs, ceil(log2 m) ``mul_vec``
-  calls, and a verifier takes the relation's constant side, the product
-  at psi = T^0, from the same gather.
+  relation for every psi at once.  A product of the m Gauss factors
+  G(T^(l + j·(q-1)/m)), j < m, depends on l only mod (q-1)/m, so it is
+  taken once per coset: the m rows of the table reshaped to
+  (m, (q-1)/m) are multiplied down in pairs, ceil(log2 m) ``mul_vec``
+  calls on rows of (q-1)/m entries, and the result is tiled, O(q) per
+  divisor m.  A verifier takes the relation's constant side, the product
+  at psi = T^0, from the same coset products.
 * :func:`decompose_theta_sum` — the q·N = q² + (sum over z) + (sum over
   y,z) + (sum over x,z) + (sum over x,y,z) decomposition obtained by
   counting curve points with additive characters, each term computed by
@@ -43,6 +46,14 @@ from .values import CharValue, get_ring
 #: Entries of an O(q²) table that a verifier builds at once: tables of q²
 #: entries are built and checked in blocks of about this many.
 _BLOCK = 2**12
+
+#: Most entries of a (q-1)×(q-1) table that ``hypercount verify`` lets the
+#: verifiers build: the Jacobi products' right operand in
+#: :func:`verify_lemmas` and the codes of f(x) - y² in
+#: :func:`decompose_theta_sum`, 8 to 16 bytes an entry.  The CLI refuses a
+#: larger field before it builds anything; the largest q it verifies is
+#: 4093, and the first it refuses 4099.
+VERIFY_TABLE_LIMIT = 2**24
 
 
 @dataclass(frozen=True)
@@ -182,6 +193,21 @@ def _product_down(ring, factors):
     return factors[0]
 
 
+def _coset_product(ring, G, m, t=1):
+    """Entry l is the product of G[(l + j·t·(q-1)/m) mod (q-1)] over j < m,
+    for t = 1 or -1.
+
+    The product depends on l only mod (q-1)/m, so the m rows of
+    ``G.reshape(m, (q-1)/m)`` are multiplied down once, which gives it for
+    l < (q-1)/m, and the result is tiled.  For t = -1 the rows are taken
+    in the order of the factors, 0, m-1, ..., 1.
+    """
+    rows = G.reshape(m, -1)
+    if t == -1:
+        rows = rows[-np.arange(m) % m]
+    return np.tile(_product_down(ring, rows), m)
+
+
 def _merge(identity, chunks):
     """Combine per-chunk (cases, mismatches, worst, first) accumulations."""
     cases = sum(c[0] for c in chunks)
@@ -310,6 +336,10 @@ def verify_davenport_hasse(ctx: FieldCtx, m: int, psi_index: int,
 
         q^((m-2)/2) · G(phi) · (-1)^((m-2)(q-1)/8) · T^-l(m^m) · G(T^(lm)).
 
+    Each direction's products for every l are one coset product
+    (:func:`_coset_product`), and the relation reads both of its sides off
+    the t = 1 products, so a call costs O(q), not O(m·q).
+
     Requires q = 1 (mod m); m = 1 exercises only the product relation.
     """
     Q = ctx.q - 1
@@ -327,8 +357,7 @@ def verify_davenport_hasse(ctx: FieldCtx, m: int, psi_index: int,
     # G(T^(l + j·(q-1)/m)) over j < m, so its entries psi_index and 0 are
     # the two sides' products of the relation.
     ls = np.arange(Q, dtype=np.int64)
-    js = np.arange(m, dtype=np.int64) * (Q // m)
-    up = _product_down(ring, G[(ls + js[:, None]) % Q])
+    up = _coset_product(ring, G, m)
 
     # Product relation at this (m, psi).
     lhs = ring.wrap(up[psi_index])
@@ -359,7 +388,7 @@ def verify_davenport_hasse(ctx: FieldCtx, m: int, psi_index: int,
         scalar = sign * ring.wrap(ring.q_pow_unit((m - 2) // 2)) \
             * ring.wrap(G[Q // 2])
     rhs_vec = ring.mul_vec(base, scalar.payload)
-    down = _product_down(ring, G[(ls - js[:, None]) % Q])
+    down = _coset_product(ring, G, m, t=-1)
     chunks = [(Q, *_compare(ring, lhs_vec, rhs_vec, lambda i, t=t: (i, t)))
               for t, lhs_vec in ((1, up), (-1, down))]
     reports.append(_merge("gauss_product_progression", chunks))
@@ -377,6 +406,10 @@ def davenport_hasse_products(ctx: FieldCtx, m: int,
 
         prod_chi G(chi·psi) = -G(psi^m)·psi(m^-m)·prod_chi G(chi).
 
+    The left sides for every psi are one coset product
+    (:func:`_coset_product`), and the constant prod_chi G(chi) is its
+    entry at psi = T^0, so a call costs O(q), not O(m·q).
+
     Requires q = 1 (mod m).
     """
     Q = ctx.q - 1
@@ -386,10 +419,9 @@ def davenport_hasse_products(ctx: FieldCtx, m: int,
         raise CongruenceViolated(ctx.q, m)
     ring = get_ring(ctx, "exact") if ring is None else ring
     G, unit = ring.unit_gauss()
-    js = np.arange(m, dtype=np.int64) * (Q // m)
     psis = np.arange(Q, dtype=np.int64)
 
-    lhs = _product_down(ring, G[(psis + js[:, None]) % Q])
+    lhs = _coset_product(ring, G, m)
     # The constant product over chi alone is the entry at psi = T^0.
     const = -ring.wrap(lhs[0])
     k1 = dlog(ctx, ctx.pow_elem(ctx.inv(ctx.from_int(m)), m))

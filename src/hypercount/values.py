@@ -82,9 +82,13 @@ _FOLD_BLOCK = 2**16
 _MATMUL_LIMB_BITS = 21
 _MATMUL_INNER = 2**11
 
-#: Most limb entries of the right operand that :meth:`ResidueRing.matmul`
-#: upcasts to float64 at once.
+#: :meth:`ResidueRing.matmul` upcasts the right operand's limbs to float64
+#: a column block at a time: about ``_MATMUL_BLOCK`` limb entries, but at
+#: least ``_MATMUL_COLS`` columns, so that a long inner dimension K still
+#: gets wide BLAS products.  At two limbs the floor sets the width from
+#: K = 257 on.
 _MATMUL_BLOCK = 2**16
+_MATMUL_COLS = 128
 
 
 class CharValue:
@@ -489,7 +493,7 @@ class ResidueRing:
     by the caller when many products share it: its limbs are held as
     float32, which is exact below 2**24 and, at two limbs, as small as the
     uint64 residues, and each product upcasts them to float64 one column
-    block at a time.
+    block at a time, at least 128 columns wide (see :meth:`matmul`).
     """
 
     backend = "exact"
@@ -692,9 +696,14 @@ class ResidueRing:
         Limb products run as float64 BLAS products over inner blocks of
         ``_MATMUL_INNER``; see the class docstring for why they are exact.
         b is split once (unless it comes split) and its limbs are upcast to
-        float64 in column blocks of about ``_MATMUL_BLOCK`` entries; the
-        temporaries of a block hold about (1 + limbs·M/K) times that many
-        floats.
+        float64 in blocks of max(``_MATMUL_COLS``, ``_MATMUL_BLOCK`` //
+        (limbs·K)) columns: 2**16 // (limbs·K) while that is at least 128
+        (K <= 256 at two limbs), and 128 however long K is.  A block holds
+        limbs·K·cols <= max(2**16, 128·limbs·K) floats, and its products
+        and sums about (limbs² + 2·limbs)·M·cols more, beside the
+        limbs·M·K floats of the left operand's limbs: memory linear in M
+        and K at any shape.  The block width does not touch exactness,
+        which rests on the inner blocks alone.
         """
         if getattr(b, "dtype", None) != np.float32:
             b = self.split(b)
@@ -708,7 +717,7 @@ class ResidueRing:
         al = al.reshape(limbs * M, K)
         ell = self._ell_u64
         out = np.empty((M, N), dtype=np.uint64)
-        cols = max(1, _MATMUL_BLOCK // (limbs * K))
+        cols = max(_MATMUL_COLS, _MATMUL_BLOCK // (limbs * K))
         for c in range(0, N, cols):
             # Column j·n + c' of bl is limb j of b[:, c + c'].
             bl = b[:, :, c:c + cols].astype(np.float64)

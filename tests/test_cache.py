@@ -17,7 +17,7 @@ from hypercount import (
     get_ring,
     required_congruence,
 )
-from hypercount.ffield import _CACHE, _build_field_cached, is_prime
+from hypercount.ffield import _CACHE, is_prime
 
 # Prime fields of about 30000 elements: about 1.9 MB each with a float
 # ring, its Gauss table and one coefficient vector, so a few dozen pass the
@@ -58,11 +58,11 @@ def test_bytes_held_stay_within_the_cap_plus_the_latest_field():
 def test_interleaved_small_fields_are_built_once():
     # Not held between calls: only the cache keeps them.
     fields = [(1009, 1), (1013, 1), (3, 5)]
-    misses = _build_field_cached.cache_info().misses
+    misses = cache_info().misses
     for _ in range(5):
         for p, e in fields:
             assert build_field(p, e).q == p**e
-    assert _build_field_cached.cache_info().misses - misses <= len(fields)
+    assert cache_info().misses - misses <= len(fields)
 
 
 def test_the_field_in_use_outlives_older_fields():

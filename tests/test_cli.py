@@ -15,6 +15,7 @@ import pytest
 
 import hypercount
 from hypercount import cli
+from hypercount.oracle import VERIFY_TABLE_LIMIT
 
 
 def run(capsys, *argv):
@@ -305,6 +306,31 @@ def test_verify_refuses_a_bad_q_before_building_a_field(capsys, monkeypatch):
         code, out, err = run(capsys, "verify", "--q", "13", "--q", bad)
         assert (code, out) == (1, "")
         assert message in err
+
+
+def test_verify_refuses_past_the_verifier_limit_before_building(capsys,
+                                                               monkeypatch):
+    # (q - 1)² > VERIFY_TABLE_LIMIT = 2**24 from q = 4099 on; 1048573 is
+    # within the table budget, and its (q - 1)² tables would need TiB.
+    assert VERIFY_TABLE_LIMIT == 2**24
+    assert cli._field_params(4093, cli.RunConfig(), verify=True) == (4093, 1)
+    assert cli._field_params(1048573, cli.RunConfig()) == (1048573, 1)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a field")
+    monkeypatch.setattr(cli, "build_field", refuse)
+    for q in (4099, 1048573):
+        code, out, err = run(capsys, "verify", "--q", "13", "--q", str(q))
+        assert (code, out) == (1, "")
+        assert err == (f"hypercount: error: verify at q={q} needs (q-1)^2 = "
+                       f"{(q - 1) ** 2} table entries, past the verifiers' "
+                       f"limit of {2**24}\n")
+    # A --q-max range ends at 4099, the first q past the limit, and is
+    # refused whole, however far it reaches.
+    for q_max in ("4099", str(10**12)):
+        code, out, err = run(capsys, "verify", "--q-max", q_max)
+        assert (code, out) == (1, "")
+        assert "verify at q=4099 needs" in err
 
 
 def test_verify_builds_and_verifies_one_field_at_a_time(capsys, monkeypatch):

@@ -26,8 +26,8 @@ from hypercount import (
     verify_davenport_hasse,
     verify_lemmas,
 )
-from hypercount.ffield import _build_field_cached
-from hypercount.oracle import _compare
+from hypercount.ffield import _build_tables
+from hypercount.oracle import _compare, _coset_product, _product_down
 
 
 def all_pairs_count(ctx, curve):
@@ -195,6 +195,64 @@ def test_corrupt_gauss_sum_fails_the_identity_checks(f13, ring_type):
     assert lemmas["gauss_reflection"].first_mismatches == (5, 7)
 
 
+# Fields for the coset products: prime and extension, with Q = q - 1 of
+# several divisors, and an entry k of the Gauss table with gcd(k, Q) = 1.
+COSET_FIELDS = [(13, 1, 5), (5, 2, 5), (61, 1, 7), (3, 4, 7)]
+
+
+def gather_product(ring, G, m, t):
+    """The progression products as one (m, q-1) gather multiplied down:
+    entry l is the product of G[(l + j·t·(q-1)/m) mod (q-1)] over j < m."""
+    Q = len(G)
+    ls = np.arange(Q, dtype=np.int64)
+    js = np.arange(m, dtype=np.int64) * (Q // m)
+    return _product_down(ring, G[(ls + t * js[:, None]) % Q])
+
+
+@pytest.mark.parametrize("p,e", [(p, e) for p, e, _ in COSET_FIELDS])
+def test_coset_products_equal_the_gather_products(p, e, backend):
+    ctx = build_field(p, e)
+    ring = get_ring(ctx, backend)
+    G, _ = ring.unit_gauss()
+    Q = ctx.q - 1
+    for m in (d for d in range(1, Q + 1) if Q % d == 0):
+        for t in (1, -1):
+            coset = _coset_product(ring, G, m, t)
+            gather = gather_product(ring, G, m, t)
+            if backend == "exact":
+                assert coset.dtype == gather.dtype == np.uint64
+                assert np.array_equal(coset, gather), (m, t)
+            else:
+                assert np.allclose(coset, gather, rtol=0, atol=1e-12), (m, t)
+
+
+@pytest.mark.parametrize("ring_type", [ResidueRing, ComplexRing])
+@pytest.mark.parametrize("p,e,k", COSET_FIELDS)
+def test_corrupt_gauss_entry_fails_exactly_on_its_cosets(ring_type, p, e, k):
+    # G(T^k) enters the left side of every product whose coset holds k, and,
+    # k being prime to Q, no right side at m > 1: the relation fails at
+    # every psi = k (mod Q/m) for 1 < m < Q (at m = Q its constant side
+    # cancels the change), and the progression at every l = k (mod Q/m),
+    # in both directions.
+    ctx = build_field(p, e)
+    ring = ring_type(ctx)
+    Q = ctx.q - 1
+    table = ring.gauss_array.copy()
+    table[k] = (ring.wrap(table[k]) + 1).payload
+    ring._gauss = table
+    for m in (d for d in range(2, Q + 1) if Q % d == 0):
+        ls = tuple(range(k % (Q // m), Q, Q // m))
+        rep = davenport_hasse_products(ctx, m, ring)
+        expect = ls if m < Q else ()
+        assert rep.mismatch_count == len(expect), m
+        assert rep.first_mismatches == tuple((m, l) for l in expect[:8]), m
+        rep = verify_davenport_hasse(ctx, m, 1, ring)[1]
+        assert rep.identity == "gauss_product_progression"
+        labels = [(l, t) for t in (1, -1) for l in ls]
+        assert rep.mismatch_count == len(labels) == 2 * m, m
+        assert rep.first_mismatches == tuple(labels[:8]), m
+
+
 @pytest.mark.parametrize("ring_type", [ResidueRing, ComplexRing])
 @pytest.mark.parametrize("q,mismatches,first", [
     (13, 66, ((0, 1), (0, 3), (0, 5), (0, 7), (0, 9), (0, 11), (1, 3),
@@ -209,7 +267,7 @@ def test_corrupt_jacobi_term_fails_gauss_to_jacobi(ring_type, q, mismatches,
     # of its read-only table: dlog(1 - g^5) moves by Q/2, so T^-n(1 - g^5)
     # changes sign exactly for odd n.  Counts and labels were pinned from
     # the per-m loop this check replaced.
-    ctx = _build_field_cached.__wrapped__(q, 1)
+    ctx = _build_tables(q, 1)
     Q = ctx.q - 1
     corrupt = ctx.one_minus_log.copy()
     corrupt[5] = (corrupt[5] + Q // 2) % Q

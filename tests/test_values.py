@@ -34,6 +34,7 @@ from hypercount.values import (
     _FFT_MAX_LEN,
     _FLOAT_MULMOD_LIMIT,
     _MATMUL_BLOCK,
+    _MATMUL_COLS,
     _MATMUL_INNER,
     _MATMUL_LIMB_BITS,
     _RING_CACHE,
@@ -358,9 +359,11 @@ def random_payloads(ring, rng, shape):
 
 
 # (M, K, N), N = None for a vector: small, inner dimensions crossing
-# _MATMUL_INNER, and a b wide enough to be split in several column blocks.
+# _MATMUL_INNER, a b wide enough to be split in several column blocks, and
+# a K of three inner blocks, whose columns come in blocks of _MATMUL_COLS.
 MATMUL_SHAPES = [(4, 7, 5), (3, _MATMUL_INNER + 5, 2), (3, 40, 2000),
-                 (6, 9, None), (2, _MATMUL_INNER + 1, None)]
+                 (6, 9, None), (2, _MATMUL_INNER + 1, None),
+                 (2, 2 * _MATMUL_INNER + 3, _MATMUL_COLS + 5)]
 
 
 @pytest.mark.parametrize("m,k,n", MATMUL_SHAPES)
@@ -396,6 +399,30 @@ def test_matmul_limb_bounds(f13, big_ring):
                         dtype=np.uint64)
             assert np.all(ring.matmul(a, b) == k % ring.ell)
             assert np.all(ring.matmul(a, ring.split(b)) == k % ring.ell)
+    # K spans three inner blocks, and the block rule of ResidueRing.matmul
+    # puts all N columns in one block, where _MATMUL_BLOCK alone would give
+    # 7 at two limbs and 5 at three.  Every entry is the residue whose
+    # limbs below the top are all 2**21 - 1, the top limb as large as ell
+    # allows beneath them, less a random r < 2**8, so the partial sums of
+    # the lowest limbs reach about _MATMUL_INNER·(2**21 - 1)², just below
+    # 2**53, with low bits that a rounding would lose.
+    K, N = 2 * _MATMUL_INNER + 3, _MATMUL_COLS
+    for ring, limbs in ((get_ring(f13, "exact"), 2),
+                        (get_ring(build_field(101), "exact", d_max=15), 3)):
+        assert -(-ring.ell.bit_length() // _MATMUL_LIMB_BITS) == limbs
+        assert _MATMUL_BLOCK // (limbs * K) < 8
+        assert max(_MATMUL_COLS, _MATMUL_BLOCK // (limbs * K)) == N
+        low = _MATMUL_LIMB_BITS * (limbs - 1)
+        worst = (ring.ell >> low << low) - 1
+        assert worst < ring.ell and worst % 2**low == 2**low - 1
+        rng = np.random.default_rng(limbs)
+        u, v = np.uint64(worst) - rng.integers(0, 2**8, (2, K),
+                                               dtype=np.uint64)
+        out = ring.matmul(np.broadcast_to(u, (3, K)),
+                          np.broadcast_to(v[:, None], (K, N)))
+        assert out.shape == (3, N)
+        expect = sum(int(x) * int(y) for x, y in zip(u, v)) % ring.ell
+        assert np.all(out == expect)
 
 
 def test_object_path_matmul(big_ring):
