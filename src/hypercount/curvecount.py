@@ -286,9 +286,8 @@ def _closed_form(ctx: FieldCtx, form: ClosedForm, d: int, a: int, b: int,
     """
     if (ctx.q - 1) % form.modulus(d):
         raise CongruenceViolated(ctx.q, form.modulus(d))
-    check_coeffs(ctx, a, b)
+    arg = form.argument(ctx, d, a, b)   # checks a and b first
     ring = get_ring(ctx, "exact") if ring is None else ring
-    arg = form.argument(ctx, d, a, b)
     tops, bottoms = form.characters(ctx, d)
     series = evaluate_hgf(HgfSpec(tops, bottoms, arg), ring)
     lead, twist = form.prefactor(ctx, d, a, b, arg, ring)

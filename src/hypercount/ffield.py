@@ -197,10 +197,10 @@ def _companions(codes: np.ndarray, p: int, e: int) -> np.ndarray:
     return c
 
 
-def _int_unless_array(x):
-    """A numpy scalar as a Python int; an array as it is.  Callers test
-    ``type(x) is int`` first, so int arithmetic pays no call."""
-    return x if isinstance(x, np.ndarray) else int(x)
+def _code(x):
+    """A code as a Python int (from an int, a numpy scalar or a 0-d array);
+    an array of codes as it is."""
+    return x if type(x) is int or np.ndim(x) else int(x)
 
 
 # --------------------------------------------------------------------------
@@ -281,20 +281,17 @@ class FieldCtx:
 
     def add(self, u, v):
         if self.e == 1:
-            r = (u + v) % self.p
-            return r if type(r) is int else _int_unless_array(r)
+            return _code((u + v) % self.p)
         return self._zech(u, v, (self.q - 1) // 2)
 
     def sub(self, u, v):
         if self.e == 1:
-            r = (u - v) % self.p
-            return r if type(r) is int else _int_unless_array(r)
+            return _code((u - v) % self.p)
         return self._zech(u, v, 0)
 
     def neg(self, u):
         if self.e == 1:
-            r = (-u) % self.p
-            return r if type(r) is int else _int_unless_array(r)
+            return _code((-u) % self.p)
         return self.mul(int(self.exp_table[(self.q - 1) // 2]), u)  # -1 · u
 
     def _zech(self, u, v, shift: int):
@@ -302,14 +299,6 @@ class FieldCtx:
         module docstring); shift is 0 for u - v and (q-1)/2 for u + v."""
         n = self.q - 1
         log = self.log_table
-        if np.isscalar(u) and np.isscalar(v):
-            if v == 0:
-                return int(u)
-            if u == 0:
-                return int(v) if shift else self.neg(v)
-            lu = int(log[u])
-            z = int(self.one_minus_log[(int(log[v]) + shift - lu) % n])
-            return 0 if z < 0 else int(self.exp_table[(lu + z) % n])
         u = np.asarray(u)
         v = np.asarray(v)
         lu = log.take(u)
@@ -326,7 +315,7 @@ class FieldCtx:
             out = np.where(v == 0, u, out)
         if not u.all():
             out = np.where(u == 0, v if shift else self.neg(v), out)
-        return out
+        return _code(out)
 
     def mul(self, u, v):
         if np.isscalar(u) and np.isscalar(v):

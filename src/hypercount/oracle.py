@@ -138,9 +138,15 @@ def theta_scaled_sum(ctx: FieldCtx, u: int, ring=None) -> CharValue:
     the point — decomposition checks must not assume the collapse.
     """
     ring = get_ring(ctx, "exact") if ring is None else ring
+    return ring.wrap(_zsum_rows(ctx, ring, np.array([u]))[0])
+
+
+def _zsum_rows(ctx: FieldCtx, ring, us) -> np.ndarray:
+    """Payloads of theta_scaled_sum(u) for each u in us, summed term by
+    term, one row of q - 1 terms per u."""
     zs = np.arange(1, ctx.q, dtype=np.int64)
-    ts = ctx.trace_table[ctx.mul(zs, u)]
-    return ring.wrap(ring.sum_vec(ring.theta_root_vec(ts)))
+    return ring.sum_rows(ring.theta_root_vec(
+        ctx.trace_table[ctx.mul(us[:, None], zs)]))
 
 
 def _theta_zsum_table(ctx: FieldCtx, ring) -> np.ndarray:
@@ -150,15 +156,12 @@ def _theta_zsum_table(ctx: FieldCtx, ring) -> np.ndarray:
     Cached on the ring: the table depends only on the field and backend,
     and decomposition checks reuse it across many curves.
     """
-    tab = getattr(ring, "_zsum_table", None)
+    tab = ring._zsum_table
     if tab is None:
         us = np.arange(ctx.q, dtype=np.int64)
-        zs = np.arange(1, ctx.q, dtype=np.int64)
         rows = max(1, _BLOCK // ctx.q)
-        tab = np.concatenate([
-            ring.sum_rows(ring.theta_root_vec(
-                ctx.trace_table[ctx.mul(us[lo:lo + rows, None], zs)]))
-            for lo in range(0, ctx.q, rows)])
+        tab = np.concatenate([_zsum_rows(ctx, ring, us[lo:lo + rows])
+                              for lo in range(0, ctx.q, rows)])
         tab.setflags(write=False)
         ring._zsum_table = tab
     return tab

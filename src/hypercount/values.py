@@ -182,17 +182,53 @@ def _roots_of_unity(n: int, ks=None) -> np.ndarray:
     return roots
 
 
-def _ring_nbytes(ring) -> int:
-    """Bytes of a ring's arrays: its root tables, Gauss and decomposition
-    tables, and the columns, coefficient vectors and spectra it caches (an
-    object array counts its pointers)."""
-    arrays = [a for a in vars(ring).values() if isinstance(a, np.ndarray)]
-    for cache in (ring._binom_cache, ring._hgf_cache, ring._spectra):
-        arrays.extend(cache.values())
-    return sum(a.nbytes for a in arrays)
+class _Ring:
+    """Base of both rings: ``ctx``, the caches, and the helpers that only
+    index a root table (each ring sets ``roots_q1`` and ``roots_p``)."""
+
+    def __init__(self, ctx: FieldCtx):
+        self.ctx = ctx
+        self._gauss = None
+        self._binom_cache: dict = {}
+        self._hgf_cache: dict = {}
+        self._hgf_uses: dict = {}
+        self._spectra: dict = {}
+        self._zsum_table = None   # set by the oracle's decomposition
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the ring's arrays: its root tables, Gauss and
+        decomposition tables, and the columns, coefficient vectors and
+        spectra it caches (an object array counts its pointers)."""
+        arrays = [a for a in vars(self).values() if isinstance(a, np.ndarray)]
+        for cache in (self._binom_cache, self._hgf_cache, self._spectra):
+            arrays.extend(cache.values())
+        return sum(a.nbytes for a in arrays)
+
+    def zero(self) -> CharValue:
+        return self.from_int(0)
+
+    def one(self) -> CharValue:
+        return self.from_int(1)
+
+    def root_unity(self, j: int) -> CharValue:
+        """zeta_{q-1}^j as a ring value."""
+        return self.wrap(self.roots_q1[j % (self.ctx.q - 1)])
+
+    def theta_root(self, t: int) -> CharValue:
+        """zeta_p^t as a ring value."""
+        return self.wrap(self.roots_p[t % self.ctx.p])
+
+    def root_unity_vec(self, exps) -> np.ndarray:
+        """roots_q1[e mod (q-1)] for each exponent e, in a new array."""
+        return self.roots_q1.take(np.remainder(exps, self.ctx.q - 1))
+
+    def theta_root_vec(self, ts) -> np.ndarray:
+        """roots_p[t mod p] for each t, in a new array."""
+        return self.roots_p[np.asarray(ts) % self.ctx.p]
 
 
-class ComplexRing:
+class ComplexRing(_Ring):
     """Floating-point backend: values are numpy complex128 scalars/arrays.
 
     ``roots_q1`` is built with the ring and ``roots_p`` on first use (see
@@ -200,19 +236,13 @@ class ComplexRing:
     """
 
     backend = "float"
-    nbytes = property(_ring_nbytes)
 
     def __init__(self, ctx: FieldCtx, tolerance: float = DEFAULT_TOLERANCE):
         if not 0 < tolerance < math.inf:  # NaN fails every comparison
             raise ValueError("tolerance must be finite and positive")
-        self.ctx = ctx
+        super().__init__(ctx)
         self.tolerance = tolerance
         self.roots_q1 = _roots_of_unity(ctx.q - 1)
-        self._gauss = None
-        self._binom_cache: dict = {}
-        self._hgf_cache: dict = {}
-        self._hgf_uses: dict = {}
-        self._spectra: dict = {}
 
     @functools.cached_property
     def roots_p(self) -> np.ndarray:
@@ -239,23 +269,9 @@ class ComplexRing:
         except OverflowError:
             raise FloatRangeExceeded(n) from None
 
-    def zero(self) -> CharValue:
-        return CharValue(self, 0j)
-
-    def one(self) -> CharValue:
-        return CharValue(self, 1 + 0j)
-
     def inv_int(self, n: int):
         """Payload of 1/n for a nonzero rational integer n."""
         return 1.0 / n
-
-    def root_unity(self, j: int) -> CharValue:
-        """zeta_{q-1}^j as a ring value."""
-        return CharValue(self, self.roots_q1[j % (self.ctx.q - 1)])
-
-    def theta_root(self, t: int) -> CharValue:
-        """zeta_p^t as a ring value."""
-        return CharValue(self, self.roots_p[t % self.ctx.p])
 
     def lift_int(self, u) -> int:
         n = np.rint(np.real(u))
@@ -274,13 +290,6 @@ class ComplexRing:
         return float(abs(u - v) / max(1.0, scale))
 
     # -- vector ops (complex128 arrays) --------------------------------------
-
-    def root_unity_vec(self, exps) -> np.ndarray:
-        """roots_q1[e mod (q-1)] for each exponent e, in a new array."""
-        return self.roots_q1.take(np.remainder(exps, self.ctx.q - 1))
-
-    def theta_root_vec(self, ts) -> np.ndarray:
-        return self.roots_p[np.asarray(ts) % self.ctx.p]
 
     def mul_vec(self, u, v, out=None) -> np.ndarray:
         """Elementwise product, into out if given (out may be u or v)."""
@@ -413,7 +422,7 @@ def _limb_spectra(x, B: int, L: int, N: int) -> list:
     return spectra
 
 
-class ResidueRing:
+class ResidueRing(_Ring):
     """Exact backend: values are residues modulo an auxiliary prime ell.
 
     ell is the least prime exceeding a bound with ell = 1 (mod p*(q-1)), so
@@ -497,12 +506,11 @@ class ResidueRing:
     """
 
     backend = "exact"
-    nbytes = property(_ring_nbytes)
 
     def __init__(self, ctx: FieldCtx, d_max: int | None = None):
         if d_max is not None and d_max < 2:
             raise ValueError("d_max must be >= 2")
-        self.ctx = ctx
+        super().__init__(ctx)
         self.d_max = d_max
         p, q = ctx.p, ctx.q
         n = p * (q - 1)
@@ -530,11 +538,6 @@ class ResidueRing:
         self.roots_q1, self.roots_p = self._power_tables((w_q1, q - 1),
                                                         (w_p, p))
         self._inv_q = pow(q, -1, self.ell)
-        self._gauss = None
-        self._binom_cache: dict = {}
-        self._hgf_cache: dict = {}
-        self._hgf_uses: dict = {}
-        self._spectra: dict = {}
 
     def _power_tables(self, *pairs) -> list:
         """For each (base, count), the read-only table base^i mod ell for
@@ -580,20 +583,8 @@ class ResidueRing:
     def from_int(self, n: int) -> CharValue:
         return CharValue(self, n % self.ell)
 
-    def zero(self) -> CharValue:
-        return CharValue(self, 0)
-
-    def one(self) -> CharValue:
-        return CharValue(self, 1)
-
     def inv_int(self, n: int):
         return pow(n, -1, self.ell)
-
-    def root_unity(self, j: int) -> CharValue:
-        return CharValue(self, int(self.roots_q1[j % (self.ctx.q - 1)]))
-
-    def theta_root(self, t: int) -> CharValue:
-        return CharValue(self, int(self.roots_p[t % self.ctx.p]))
 
     def lift_int(self, u) -> int:
         """Balanced residue in (-ell/2, ell/2]."""
@@ -607,13 +598,6 @@ class ResidueRing:
         return 0.0 if self.values_close(u, v) else 1.0
 
     # -- vector ops (uint64 arrays of residues) --------------------------------
-
-    def root_unity_vec(self, exps) -> np.ndarray:
-        """roots_q1[e mod (q-1)] for each exponent e, in a new array."""
-        return self.roots_q1.take(np.remainder(exps, self.ctx.q - 1))
-
-    def theta_root_vec(self, ts) -> np.ndarray:
-        return self.roots_p[np.asarray(ts) % self.ctx.p]
 
     def mul_vec(self, u, v, out=None) -> np.ndarray:
         """Elementwise modular product of residue arrays, into out if given
@@ -646,20 +630,13 @@ class ResidueRing:
 
     def sum_vec(self, u):
         """Modular sum of a residue array (any shape, summed flat)."""
-        flat = np.ravel(np.asarray(u))
-        if not self._use_numpy or flat.dtype == object:
-            # Python ints: a uint64 partial sum would wrap once ell is wide.
-            return sum(map(int, flat.tolist())) % self.ell
-        total = 0
-        # Chunked so partial uint64 sums cannot overflow: 4096 * ell < 2**63.
-        for start in range(0, flat.size, 4096):
-            total += int(np.sum(flat[start:start + 4096], dtype=np.uint64))
-        return total % self.ell
+        return int(self.sum_rows(np.reshape(u, (1, -1)))[0])
 
     def sum_rows(self, mat) -> np.ndarray:
         """Per-row modular sums of a 2-D residue matrix."""
         mat = np.asarray(mat)
         if not self._use_numpy or mat.dtype == object:
+            # Python ints: a uint64 partial sum would wrap once ell is wide.
             return np.array([sum(map(int, row)) % self.ell
                              for row in mat.tolist()], dtype=object)
         out = np.zeros(mat.shape[0], dtype=np.uint64)
