@@ -34,8 +34,8 @@ from .characters import (
     quadratic_sign,
     trivial_char,
 )
-from .errors import CongruenceViolated, ZeroCoefficient
-from .ffield import FieldCtx, check_code
+from .errors import CongruenceViolated, MixedFieldContexts, ZeroCoefficient
+from .ffield import FieldCtx, _as_int, check_code
 from .hypergeom import HgfSpec, evaluate_hgf
 from .values import CharValue, get_ring
 
@@ -57,6 +57,10 @@ class CurveParams:
     family: "A" for y² = x^d + a·x + b, "B" for y² = x^d + a·x^{d-1} + b.
     d:      polynomial degree, at least 2 (the families coincide at d=2).
     a, b:   nonzero field-element codes.
+
+    d, a and b must be integers: a numpy integer is converted to an int,
+    and anything else, a float or a bool included, raises a TypeError
+    that names the argument.
     """
 
     family: str
@@ -67,6 +71,8 @@ class CurveParams:
     def __post_init__(self):
         if self.family not in ("A", "B"):
             raise ValueError(f"family must be 'A' or 'B', got {self.family!r}")
+        for name in ("d", "a", "b"):
+            object.__setattr__(self, name, _as_int(getattr(self, name), name))
         if self.d < 2:
             raise ValueError(f"degree must be >= 2, got {self.d}")
         if self.a == 0:
@@ -288,6 +294,8 @@ def _closed_form(ctx: FieldCtx, form: ClosedForm, d: int, a: int, b: int,
         raise CongruenceViolated(ctx.q, form.modulus(d))
     arg = form.argument(ctx, d, a, b)   # checks a and b first
     ring = get_ring(ctx, "exact") if ring is None else ring
+    if ring.ctx is not ctx:
+        raise MixedFieldContexts()
     tops, bottoms = form.characters(ctx, d)
     series = evaluate_hgf(HgfSpec(tops, bottoms, arg), ring)
     lead, twist = form.prefactor(ctx, d, a, b, arg, ring)
@@ -297,7 +305,8 @@ def _closed_form(ctx: FieldCtx, form: ClosedForm, d: int, a: int, b: int,
 
 def count_points(ctx: FieldCtx, curve: CurveParams, *, ring=None) -> CountResult:
     """Affine points on the curve, by the closed form of its family and
-    the parity of its degree (see :data:`CLOSED_FORMS`)."""
+    the parity of its degree (see :data:`CLOSED_FORMS`).  A ring of
+    another field raises :class:`MixedFieldContexts`."""
     form = CLOSED_FORMS[curve.family, _parity(curve.d)]
     n, series, arg = _closed_form(ctx, form, curve.d, curve.a, curve.b,
                                   ring)

@@ -50,7 +50,8 @@ trace below q, or the sentinel -1.  :func:`build_field` refuses q above
 two entries (two logs in ``mul``, a log and a shift in ``add``) is below
 2^31 and int32 arithmetic on them cannot wrap.  A product of an entry
 with an index or a log can pass 2^31, so it is taken in int64: in
-``pow_elem``, in :func:`_power_table`, and by every caller outside this
+``pow_elem`` (whose exponent is first reduced mod q - 1, so the product
+stays below q^2), in :func:`_power_table`, and by every caller outside this
 module that multiplies a table entry (numpy keeps int32 when the other
 factor is a Python int).
 
@@ -65,6 +66,7 @@ since -1 = g^((q-1)/2).  Products, inverses and powers add or scale logs.
 from __future__ import annotations
 
 import math
+import operator
 import threading
 import weakref
 from collections import OrderedDict
@@ -195,6 +197,15 @@ def _companions(codes: np.ndarray, p: int, e: int) -> np.ndarray:
     c[:, :-1, 1:] = np.eye(e - 1)
     c[:, -1] = -_digit_rows(codes, p, e) % p
     return c
+
+
+def _as_int(value, name: str) -> int:
+    """value as an int, from an int or a numpy integer; anything else,
+    bool included, raises a TypeError that names the argument."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got "
+                        f"{type(value).__name__} {value!r}")
+    return operator.index(value)
 
 
 def _code(x):
@@ -335,14 +346,21 @@ class FieldCtx:
         return int(self.exp_table[(-self.log_table[u]) % (self.q - 1)])
 
     def pow_elem(self, u, n: int):
-        """u raised to an integer power n (with 0**0 = 1)."""
+        """u raised to an integer power n (with 0**0 = 1).
+
+        A nonzero u has order dividing q - 1, so n is reduced mod q - 1
+        first: the int64 product of n with a log then stays below q², which
+        an unreduced n could wrap or not fit.  0**n is decided by n itself.
+        """
+        zero_pow = 1 if n == 0 else 0
+        n %= self.q - 1
         if np.isscalar(u):
             if u == 0:
-                return 1 if n == 0 else 0
+                return zero_pow
             return int(self.exp_table[(n * int(self.log_table[u])) % (self.q - 1)])
         u = np.asarray(u)
         idx = (n * self.log_table[u].astype(np.int64)) % (self.q - 1)
-        return np.where(u == 0, 1 if n == 0 else 0, self.exp_table[idx])
+        return np.where(u == 0, zero_pow, self.exp_table[idx])
 
     def from_int(self, n: int) -> int:
         """Embed a rational integer via the prime subfield."""
@@ -613,13 +631,18 @@ def build_field(p: int, e: int = 1,
     """Construct F_{p^e} with all lookup tables, or return it from the
     field cache (see the module docstring).
 
+    p and e must be integers: a numpy integer is converted, and anything
+    else, a float or a bool included, is refused.
+
     Raises:
+        TypeError: if p or e is not an integer.
         NotPrime: if p is not an odd prime.
         TableBudgetExceeded: if p**e exceeds ``table_budget`` or
             ``MAX_FIELD_SIZE``, before any table is allocated; the error's
             budget is the smaller of the two.
         ValueError: if e < 1.
     """
+    p, e = _as_int(p, "p"), _as_int(e, "e")
     if e < 1:
         raise ValueError(f"extension degree must be >= 1, got {e}")
     if p == 2 or not is_prime(p):

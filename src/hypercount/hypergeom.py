@@ -128,8 +128,10 @@ def series_values(ctx: FieldCtx, top_indices: tuple[int, ...],
     One :meth:`dft` of the coefficient vector, scaled by q/(q-1).  Cached
     read-only on the ring, keyed by the index lists; building it drops the
     coefficient vector from the ring.  A transform that raises caches
-    nothing.
+    nothing.  A ring of another field raises :class:`MixedFieldContexts`.
     """
+    if ring.ctx is not ctx:
+        raise MixedFieldContexts()
     key = _series_key(ctx, top_indices, bottom_indices)
     spectrum = ring._spectra.get(key)
     if spectrum is None:
@@ -148,10 +150,13 @@ def evaluate_hgf(spec: HgfSpec, ring=None) -> CharValue:
     The first ``_DIRECT_EVALS`` evaluations of a series on a ring at
     nonzero arguments take the defining O(q) twisted sum; the next builds
     the series' spectrum (:func:`series_values`), and from then on an
-    evaluation is one lookup.
+    evaluation is one lookup.  A ring of another field raises
+    :class:`MixedFieldContexts`.
     """
     ctx = spec.ctx
     ring = get_ring(ctx, "float") if ring is None else ring
+    if ring.ctx is not ctx:
+        raise MixedFieldContexts()
     if spec.argument == 0:
         # chi(0) = 0 for every chi, so each summand vanishes.
         return ring.zero()
@@ -165,7 +170,7 @@ def evaluate_hgf(spec: HgfSpec, ring=None) -> CharValue:
     coeffs = coefficient_vector(ctx, tops, bottoms, ring)
     Q = ctx.q - 1
     exps = np.arange(Q, dtype=np.int64)
-    exps *= k
+    exps *= k   # k < q - 1, so every product is below q² and cannot wrap
     twists = ring.root_unity_vec(exps)
     del exps
     total = ring.sum_vec(ring.mul_vec(coeffs, twists, out=twists))

@@ -48,11 +48,11 @@ from .values import CharValue, get_ring
 _BLOCK = 2**12
 
 #: Most entries of a (q-1)×(q-1) table that ``hypercount verify`` lets the
-#: verifiers build: the Jacobi products' right operand in
-#: :func:`verify_lemmas` and the codes of f(x) - y² in
-#: :func:`decompose_theta_sum`, 8 to 16 bytes an entry.  The CLI refuses a
-#: larger field before it builds anything; the largest q it verifies is
-#: 4093, and the first it refuses 4099.
+#: verifiers build.  One such table is left: the Jacobi products' right
+#: operand in :func:`verify_lemmas`, held in the split form ``ring.matmul``
+#: takes (8 to 16 bytes an entry).  The CLI refuses a larger field before
+#: it builds anything; the largest q it verifies is 4093, and the first it
+#: refuses 4099.
 VERIFY_TABLE_LIMIT = 2**24
 
 
@@ -450,7 +450,10 @@ def decompose_theta_sum(ctx: FieldCtx, curve: CurveParams,
         n = (q² + z_sum + yz_sum + xz_sum + xyz_sum) / q
 
     is an independent check of the counting identity rather than of any
-    closed form.  The quadratic-twist component is evaluated from its
+    closed form.  The z-sums are the literal sums of the table
+    :func:`_theta_zsum_table`; xyz_sum counts the pairs x, y != 0 by the
+    value of f(x) - y², in O(q) memory, and sums the table against those
+    counts.  The quadratic-twist component is evaluated from its
     Gauss-sum series when the required divisibility holds.
     """
     ring = get_ring(ctx, "exact") if ring is None else ring
@@ -463,14 +466,16 @@ def decompose_theta_sum(ctx: FieldCtx, curve: CurveParams,
     z_sum = ring.wrap(ztab[curve.b])
     yz_sum = ring.wrap(ring.sum_vec(ztab[ctx.sub(curve.b, squares)]))
     xz_sum = ring.wrap(ring.sum_vec(ztab[fx[1:]]))
-    # Codes of f(x) - y² in row blocks, which bound the temporaries of the
-    # Zech-log subtraction on F_{p^e}.  The sum still runs over the whole
-    # table.
-    diff = np.empty((q - 1, q - 1), dtype=np.int64)
+    # hits[u] counts the pairs x, y != 0 with f(x) - y² = u.  Their codes
+    # are made and counted in row blocks, which bound the temporaries of
+    # the Zech-log subtraction on F_{p^e}: no (q-1)² table is held.
+    hits = np.zeros(q, dtype=np.int64)
     rows = max(1, _BLOCK // q)
     for lo in range(0, q - 1, rows):
-        diff[lo:lo + rows] = ctx.sub(fx[1 + lo:1 + lo + rows, None], squares)
-    xyz_sum = ring.wrap(ring.sum_vec(ztab[diff]))
+        diff = ctx.sub(fx[1 + lo:1 + lo + rows, None], squares)
+        hits += np.bincount(diff.ravel(), minlength=q)
+    xyz_sum = ring.wrap(ring.sum_vec(ring.mul_vec(ring.rational_vec(hits),
+                                                  ztab)))
 
     total = (q * q) + z_sum + yz_sum + xz_sum + xyz_sum
     n_rec = total.divide_by_q().lift_int()
@@ -510,6 +515,7 @@ def quad_component(ctx: FieldCtx, curve: CurveParams,
         i3 = (d * (ms + shift)) % Q
         ratio = ctx.mul(b, ctx.inv(ctx.pow_elem(a, d)))
         sign = quadratic_sign(ctx, ctx.neg(a))
+    # Past the divisibility tests d < q, so d·ms and k0·ms stay below q².
     G = ring.gauss_array
     k0 = dlog(ctx, ratio)
     terms = ring.mul_vec(ring.mul_vec(G[i1], G[(Q - ms) % Q]),

@@ -26,6 +26,15 @@ interchangeable backends realize this ring:
   enough that Percival's error bound makes rounding exact, and every
   rounded entry checked, in O(q log q) time and O(q) memory.
 
+Both rings extend the private base ``_Ring``, which holds the field
+``ctx``, ``nbytes``, the per-ring caches (the Gauss table, binomial
+columns, coefficient vectors, evaluation counts, series spectra and the
+oracle's z-sum table) and the helpers that only index a root table:
+``zero`` and ``one`` (through ``from_int``), ``root_unity`` and
+``theta_root`` (through ``wrap``), ``root_unity_vec`` and
+``theta_root_vec``.  Each ring keeps its own arithmetic and its own
+``gauss_array``.
+
 Scalar values are wrapped in :class:`CharValue`; bulk kernels work on raw
 numpy arrays through the ring's vector helpers (``mul_vec``, ``sum_vec``,
 ``sum_rows``, ``matmul`` with its ``split`` operands, ``dft``,
@@ -720,7 +729,7 @@ class ResidueRing(_Ring):
     def rational_vec(self, nums, den: int = 1) -> np.ndarray:
         """Residues of the rationals nums/den (nums an integer array)."""
         residues = (np.asarray(nums) % self.ell).astype(np.uint64)
-        return self.scale(residues, 1, den)
+        return residues if den == 1 else self.scale(residues, 1, den)
 
     def scale(self, u, num: int, den: int = 1, out=None):
         """Residue(s) u·num/den for rational integers num and den != 0, into

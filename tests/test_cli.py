@@ -107,6 +107,16 @@ def test_count_brute_skips_congruence(capsys):
     assert "method=brute_force" in out
 
 
+@pytest.mark.parametrize("d,n_points", [("1152921504606846977", 17),
+                                        (str(2**63), 13)])
+def test_count_brute_at_a_huge_degree(capsys, d, n_points):
+    # The first d once gave n_points=18 with exit 0; 2**63 a traceback.
+    code, out, err = run(capsys, "count", "--q", "13", "--family", "A",
+                         "--d", d, "--a", "1", "--b", "2", "--brute")
+    assert code == 0 and err == ""
+    assert f"n_points={n_points} method=brute_force" in out
+
+
 @pytest.mark.parametrize("a", ["-1", "25"])
 @pytest.mark.parametrize("mode", [(), ("--brute",)])
 def test_count_rejects_codes_outside_the_field(capsys, a, mode):

@@ -13,6 +13,7 @@ from hypercount import (
     CongruenceViolated,
     CountResult,
     CurveParams,
+    MixedFieldContexts,
     ZeroCoefficient,
     alpha_param,
     beta_param,
@@ -51,6 +52,35 @@ def test_curve_params_validation():
         CurveParams("A", 3, 0, 1)
     with pytest.raises(ZeroCoefficient):
         CurveParams("B", 4, 1, 0)
+
+
+@pytest.mark.parametrize("name,value", [
+    ("d", 4.0), ("d", True), ("a", 5.0), ("a", True), ("a", "5"),
+    ("b", np.float64(11)), ("b", np.bool_(True)),
+])
+def test_curve_params_refuse_non_integers(name, value):
+    # 5.0 once built a curve that count_points failed on with IndexError.
+    args = {"family": "A", "d": 4, "a": 5, "b": 11, name: value}
+    with pytest.raises(TypeError, match=f"^{name} must be an integer"):
+        CurveParams(**args)
+
+
+def test_curve_params_convert_numpy_integers():
+    curve = CurveParams("A", np.int64(4), np.int32(5), np.uint16(11))
+    assert curve == CurveParams("A", 4, 5, 11)
+    assert all(type(v) is int for v in (curve.d, curve.a, curve.b))
+
+
+def test_a_ring_of_another_field_is_refused(backend):
+    # Such a ring once failed with numpy's broadcast ValueError.
+    f73 = build_field(73)
+    ring = get_ring(build_field(97), backend)
+    with pytest.raises(MixedFieldContexts):
+        count_points(f73, CurveParams("A", 4, 5, 11), ring=ring)
+    with pytest.raises(MixedFieldContexts):
+        trace_frobenius_linear(f73, 5, 11, ring=ring)
+    with pytest.raises(MixedFieldContexts):
+        trace_frobenius_quadratic(f73, 5, 11, ring=ring)
 
 
 def test_count_result_coerces_numpy_ints():

@@ -319,6 +319,23 @@ def test_pow_elem_scalar_and_array_agree(f13):
             assert vec[u] == expected
 
 
+@pytest.mark.parametrize("n", [2**60 + 1, 2**63, 2**64 + 5, -(2**63) - 1])
+@pytest.mark.parametrize("p,e", [(13, 1), (5, 2)])
+def test_pow_elem_huge_exponents_agree_with_their_residue(p, e, n):
+    # n·log once wrapped int64 on arrays (and an n past int64 raised).
+    ctx = build_field(p, e)
+    us = np.arange(ctx.q, dtype=np.int64)
+    small = n % (ctx.q - 1) + (ctx.q - 1)    # same residue, a nonzero n
+    assert ctx.pow_elem(us, n).tolist() == ctx.pow_elem(us, small).tolist()
+    for u in range(1, ctx.q):
+        assert ctx.pow_elem(u, n) == ctx.pow_elem(u, small)
+    assert ctx.pow_elem(0, n) == 0 and ctx.pow_elem(us, n)[0] == 0
+    # 0**0 = 1 still, also where n = 0 (mod q - 1) is not 0 itself.
+    assert ctx.pow_elem(0, 0) == 1 and ctx.pow_elem(us, 0)[0] == 1
+    assert ctx.pow_elem(0, ctx.q - 1) == 0
+    assert ctx.pow_elem(us, ctx.q - 1)[0] == 0
+
+
 def test_inv_is_multiplicative_inverse(f25):
     for u in range(1, f25.q):
         assert f25.mul(u, f25.inv(u)) == 1
@@ -477,6 +494,21 @@ def test_prime_field_trace_is_identity(f13):
 def test_rejects_non_odd_primes(p):
     with pytest.raises(NotPrime):
         build_field(p)
+
+
+@pytest.mark.parametrize("args,name", [
+    ((7.0,), "p"), ((True,), "p"), ((np.float64(7),), "p"), (("7",), "p"),
+    ((7, 2.0), "e"), ((7, False), "e"), ((7, np.bool_(True)), "e"),
+])
+def test_build_field_refuses_non_integers(args, name):
+    with pytest.raises(TypeError, match=f"^{name} must be an integer"):
+        build_field(*args)
+
+
+def test_build_field_converts_numpy_integers():
+    ctx = build_field(np.int64(7), np.uint8(2))
+    assert ctx is build_field(7, 2)
+    assert type(ctx.p) is int and type(ctx.e) is int
 
 
 def test_rejects_bad_extension_degree():

@@ -69,6 +69,16 @@ def test_spec_shape_validation(f13, f25):
         HgfSpec((phi, eps), (eps,), -1)
 
 
+def test_a_ring_of_another_field_is_refused(f13, f25, backend):
+    ring = get_ring(f25, backend)
+    phi, eps = quadratic_char(f13), trivial_char(f13)
+    for argument in (0, 2):
+        with pytest.raises(MixedFieldContexts):
+            evaluate_hgf(HgfSpec((phi, eps), (phi,), argument), ring)
+    with pytest.raises(MixedFieldContexts):
+        series_values(f13, (phi.index, 0), (phi.index,), ring)
+
+
 def test_argument_zero_evaluates_to_zero(f13, backend):
     ring = get_ring(f13, backend)
     spec = HgfSpec((quadratic_char(f13), trivial_char(f13)),

@@ -5,6 +5,8 @@ pinned against hand-frozen values and an all-pairs enumeration that
 shares no code with the vectorized path.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,29 @@ def test_brute_count_matches_all_pairs_enumeration(p, e):
             for a, b in [(1, 1), (2, 1), (1, 2), (2, 2)]:
                 curve = CurveParams(family, d, a % ctx.q, b % ctx.q)
                 assert brute_count(ctx, curve) == all_pairs_count(ctx, curve)
+
+
+@pytest.mark.parametrize("d,expected", [(2**60 + 1, 17), (2**63, 13)])
+def test_brute_count_at_a_huge_degree_on_f13(d, expected):
+    # d·log(x) once wrapped int64 (2**60 + 1 gave 18) or raised
+    # OverflowError (2**63).  Reference: Euler's criterion on Python ints.
+    q = 13
+
+    def roots(f):   # solutions y of y² = f
+        return 1 if f == 0 else 2 if pow(f, (q - 1) // 2, q) == 1 else 0
+
+    assert sum(roots((pow(x, d, q) + x + 2) % q) for x in range(q)) == expected
+    assert brute_count(build_field(q), CurveParams("A", d, 1, 2)) == expected
+
+
+def test_brute_count_at_a_huge_degree_on_f1048573():
+    # 10**13·(q - 2) passes 2**63, so the table product once wrapped and
+    # gave 1047103.
+    ctx = build_field(1048573)
+    d = 10**13
+    same = d % (ctx.q - 1) + (ctx.q - 1)
+    assert brute_count(ctx, CurveParams("B", d, 5, 11)) == 1047203
+    assert brute_count(ctx, CurveParams("B", same, 5, 11)) == 1047203
 
 
 def test_rhs_table_values(f13):
@@ -323,6 +348,24 @@ def test_decomposition_reconstructs_count(p, e, family, d, backend):
                      + ctx.q * quadratic_sign(ctx, b)
                      + rep.quad_component)
             assert total.divide_by_q().lift_int() == rep.n_reconstructed
+
+
+@pytest.mark.parametrize("p,e", [(2399, 1), (7, 4)])
+def test_decomposition_holds_no_square_table(p, e, backend):
+    # Counting the pairs by value keeps a call's peak at O(q): it was 88 MB
+    # (exact) and 132 MB (float) at q = 2399 with the (q-1)² codes held.
+    ctx = build_field(p, e)
+    ring = get_ring(ctx, backend)
+    decompose_theta_sum(ctx, CurveParams("A", 2, 1, 1), ring)  # ring tables
+    curve = CurveParams("B", 3, 5, 11)
+    tracemalloc.start()
+    try:
+        rep = decompose_theta_sum(ctx, curve, ring)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.n_reconstructed == brute_count(ctx, curve)
+    assert peak < 5 * 2**20
 
 
 def test_quad_component_requires_divisibility():

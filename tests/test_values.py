@@ -39,6 +39,7 @@ from hypercount.values import (
     _MATMUL_LIMB_BITS,
     _RING_CACHE,
     _ROOT_ERR,
+    _Ring,
     _limb_bits,
 )
 
@@ -312,6 +313,22 @@ def test_mul_vec_matches_python_ints(ring13, widest_ring):
         # Two scalars give a 0-d array.
         prod = ring.mul_vec(u[0], v[0])
         assert prod.shape == () and int(prod) == int(u[0]) * int(v[0]) % ell
+
+
+def test_rings_share_one_copy_of_each_helper():
+    # bench/spans.py times the Gauss table by wrapping
+    # cls.__dict__["gauss_array"] on each ring class, so each ring keeps
+    # that property in its own class; the helpers that only index a root
+    # table are defined once, on the base.
+    for cls in (ComplexRing, ResidueRing):
+        assert issubclass(cls, _Ring)
+        assert isinstance(cls.__dict__["gauss_array"], property)
+    for name in ("nbytes", "zero", "one", "root_unity", "theta_root",
+                 "root_unity_vec", "theta_root_vec"):
+        assert name in _Ring.__dict__
+        assert name not in ComplexRing.__dict__
+        assert name not in ResidueRing.__dict__
+    assert "gauss_array" not in _Ring.__dict__
 
 
 def test_sum_vec_chunks_are_exact(f13):
