@@ -57,11 +57,9 @@ print("  yz component    :", rep.yz_sum.lift_int(),
 print("  reconstructed N :", rep.n_reconstructed)
 print("  brute-force N   :", brute_count(f25, curve))
 
-# When the degree divides q - 1 the right way, a half-length quadratic
-# character sum reproduces everything beyond the two closed forms:
-# q*N = q^2 + q*phi(b) + quad.
-if rep.quad_component is not None:
-    quad = rep.quad_component.lift_int()
-    print("  quad component  :", quad)
-    print("  q*N == q^2 + q*phi(b) + quad:",
-          25 * rep.n_reconstructed == 25**2 + 25 * quadratic_sign(f25, 3) + quad)
+# A sum of q - 1 Gauss-sum triples reproduces everything beyond the two
+# closed forms at every odd q: q*N = q^2 + q*phi(b) + quad.
+quad = rep.quad_component.lift_int()
+print("  quad component  :", quad)
+print("  q*N == q^2 + q*phi(b) + quad:",
+      25 * rep.n_reconstructed == 25**2 + 25 * quadratic_sign(f25, 3) + quad)

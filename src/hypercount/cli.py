@@ -39,6 +39,7 @@ import sys
 import time
 from dataclasses import dataclass
 
+from .characters import quadratic_sign
 from .curvecount import (
     BRUTE_FORCE,
     CountResult,
@@ -337,6 +338,9 @@ def _verify_field(ctx: FieldCtx, ring, seed: int) -> dict:
             curve = CurveParams(family, d, a, b)
             rep = decompose_theta_sum(ctx, curve, ring)
             n_direct = brute_count(ctx, curve)
+            # q·N = q² + q·phi(b) + quad_component, as the paper's count.
+            quad_ok = rep.quad_component.isclose(
+                q * (n_direct - q - quadratic_sign(ctx, b)), scale=q * q)
             decompositions.append({
                 "family": family, "d": d, "a": a, "b": b,
                 "z_sum": _value_json(rep.z_sum),
@@ -346,7 +350,7 @@ def _verify_field(ctx: FieldCtx, ring, seed: int) -> dict:
                 "quad_component": _value_json(rep.quad_component),
                 "n_reconstructed": rep.n_reconstructed,
                 "n_oracle": n_direct,
-                "match": rep.n_reconstructed == n_direct,
+                "match": rep.n_reconstructed == n_direct and quad_ok,
             })
     return {
         "q": q,

@@ -24,8 +24,8 @@ Everything the closed-form counts are tested against lives here:
 * :func:`decompose_theta_sum` — the q·N = q² + (sum over z) + (sum over
   y,z) + (sum over x,z) + (sum over x,y,z) decomposition obtained by
   counting curve points with additive characters, each term computed by
-  literal summation, together with the closed quadratic-twist component
-  that the x,y,z-term collapses to.
+  literal summation, together with the quadratic-twist component the
+  x,y,z-term collapses to: a sum of Gauss-sum triples, at every odd q.
 
 All verifiers work in either value ring; failures are reported, never
 raised.
@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .characters import quadratic_sign
 from .curvecount import CurveParams
 from .errors import CongruenceViolated
 from .ffield import FieldCtx, dlog
@@ -84,18 +83,16 @@ class DecompositionReport:
     x,y,z-term further collapses to -xz_sum plus a single quadratic-twist
     component (the y-sum survives only at the quadratic character), so
 
-        q·N = q² + q·phi(b) + quad_component.
+        q·N = q² + q·phi(b) + quad_component,
 
-    quad_component is None when q-1 lacks the divisibility its closed
-    form needs (2(d-1) for family A and even-d family B, 2d for odd-d
-    family B).
+    quad_component being the Gauss-sum form of :func:`quad_component`.
     """
 
     z_sum: CharValue
     yz_sum: CharValue
     xz_sum: CharValue
     xyz_sum: CharValue
-    quad_component: CharValue | None
+    quad_component: CharValue
     n_reconstructed: int
 
 
@@ -319,6 +316,20 @@ def verify_lemmas(ctx: FieldCtx, ring=None) -> list[IdentityReport]:
 # Davenport–Hasse product relation and its progression corollary.
 # ---------------------------------------------------------------------------
 
+def _dh_setup(ctx: FieldCtx, m: int, ring):
+    """The checks' common start: the ring, ``ring.unit_gauss()``, the t = 1
+    coset products (:func:`_coset_product`) and dlog(m^-m).  Refuses m < 1
+    (ValueError) and q != 1 (mod m) (CongruenceViolated)."""
+    if m < 1:
+        raise ValueError(f"m must be positive, got {m}")
+    if (ctx.q - 1) % m:
+        raise CongruenceViolated(ctx.q, m)
+    ring = get_ring(ctx, "exact") if ring is None else ring
+    G, unit = ring.unit_gauss()
+    k1 = dlog(ctx, ctx.pow_elem(ctx.inv(ctx.from_int(m)), m))
+    return ring, G, unit, _coset_product(ring, G, m), k1
+
+
 def verify_davenport_hasse(ctx: FieldCtx, m: int, psi_index: int,
                            ring=None) -> list[IdentityReport]:
     """Check the Davenport–Hasse relation for one (m, psi), plus the
@@ -345,28 +356,19 @@ def verify_davenport_hasse(ctx: FieldCtx, m: int, psi_index: int,
 
     Requires q = 1 (mod m); m = 1 exercises only the product relation.
     """
+    ring, G, unit, up, k1 = _dh_setup(ctx, m, ring)
     Q = ctx.q - 1
-    if m < 1:
-        raise ValueError(f"m must be positive, got {m}")
-    if Q % m:
-        raise CongruenceViolated(ctx.q, m)
-    ring = get_ring(ctx, "exact") if ring is None else ring
-    G, unit = ring.unit_gauss()
     roots = ring.roots_q1
     psi_index %= Q
     reports = []
-
-    # Entry l of the progression product along t = 1 is the product of
-    # G(T^(l + j·(q-1)/m)) over j < m, so its entries psi_index and 0 are
-    # the two sides' products of the relation.
     ls = np.arange(Q, dtype=np.int64)
-    up = _coset_product(ring, G, m)
 
-    # Product relation at this (m, psi).
+    # Product relation at this (m, psi): entry l of the t = 1 products is
+    # the product of G(T^(l + j·(q-1)/m)) over j < m, so entries psi_index
+    # and 0 are its two sides' products.
     lhs = ring.wrap(up[psi_index])
     rhs = ring.wrap(up[0])
-    m_inv_pow = ctx.pow_elem(ctx.inv(ctx.from_int(m)), m)
-    twist = ring.root_unity(psi_index * dlog(ctx, m_inv_pow))
+    twist = ring.root_unity(psi_index * k1)
     # The right side has m + 1 Gauss factors to the left side's m.
     rhs = -ring.wrap(G[(m * psi_index) % Q]) * twist * rhs * ring.wrap(unit)
     mism = 0 if lhs.isclose(rhs) else 1
@@ -379,8 +381,8 @@ def verify_davenport_hasse(ctx: FieldCtx, m: int, psi_index: int,
     if m == 1:
         reports.append(IdentityReport("gauss_product_progression", 0, 0, 0.0))
         return reports
-    k0 = dlog(ctx, ctx.pow_elem(ctx.from_int(m), m))
-    base = ring.mul_vec(roots[(-k0 * ls) % Q], G[(m * ls) % Q])
+    # T^-l(m^m) = T^l(m^-m).
+    base = ring.mul_vec(roots[(k1 * ls) % Q], G[(m * ls) % Q])
     # Both sides have m Gauss factors, so the power of q is taken in the
     # table's units (with unit-modulus float factors it cancels to 1).
     if m % 2:
@@ -415,19 +417,11 @@ def davenport_hasse_products(ctx: FieldCtx, m: int,
 
     Requires q = 1 (mod m).
     """
+    ring, G, unit, lhs, k1 = _dh_setup(ctx, m, ring)
     Q = ctx.q - 1
-    if m < 1:
-        raise ValueError(f"m must be positive, got {m}")
-    if Q % m:
-        raise CongruenceViolated(ctx.q, m)
-    ring = get_ring(ctx, "exact") if ring is None else ring
-    G, unit = ring.unit_gauss()
     psis = np.arange(Q, dtype=np.int64)
-
-    lhs = _coset_product(ring, G, m)
     # The constant product over chi alone is the entry at psi = T^0.
     const = -ring.wrap(lhs[0])
-    k1 = dlog(ctx, ctx.pow_elem(ctx.inv(ctx.from_int(m)), m))
     rhs = ring.mul_vec(G[(m * psis) % Q], ring.roots_q1[(k1 * psis) % Q])
     # The right side has m + 1 Gauss factors to the left side's m.
     rhs = ring.mul_vec(rhs, (const * ring.wrap(unit)).payload)
@@ -453,8 +447,8 @@ def decompose_theta_sum(ctx: FieldCtx, curve: CurveParams,
     closed form.  The z-sums are the literal sums of the table
     :func:`_theta_zsum_table`; xyz_sum counts the pairs x, y != 0 by the
     value of f(x) - y², in O(q) memory, and sums the table against those
-    counts.  The quadratic-twist component is evaluated from its
-    Gauss-sum series when the required divisibility holds.
+    counts.  The quadratic-twist component is the Gauss-sum form of
+    :func:`quad_component`.
     """
     ring = get_ring(ctx, "exact") if ring is None else ring
     q = ctx.q
@@ -484,42 +478,28 @@ def decompose_theta_sum(ctx: FieldCtx, curve: CurveParams,
 
 
 def quad_component(ctx: FieldCtx, curve: CurveParams,
-                   ring=None) -> CharValue | None:
-    """Closed Gauss-sum series for the quadratic-twist component.
+                   ring=None) -> CharValue:
+    """The quadratic-twist component D, q·N = q² + q·phi(b) + D, as a sum
+    of Gauss-sum triples: with h = (q-1)/2 and (m, n) = t·(1, -d) for
+    family A or t·(d-1, -d) for family B,
 
-    This is the single term of the x,y,z-sum surviving at the quadratic
-    character, normalized so that q·N = q² + q·phi(b) + quad_component.
-    Returns None when q-1 lacks the divisibility the series needs.
+        D = phi(-1)·G(phi)/(q-1) · sum over t < q-1 of
+            G(T^(m+n+h))·G(T^-m)·G(T^-n)·T^(h-m-n)(b)·T^n(a).
+
+    Valid at every odd q and d >= 2, in one O(q) gather and multiply; the
+    paper's congruence on q only folds the triples into its binomials.
     """
     ring = get_ring(ctx, "exact") if ring is None else ring
     Q = ctx.q - 1
-    d, a, b = curve.d, curve.a, curve.b
-    ms = np.arange(Q, dtype=np.int64)
-    if curve.family == "A" or curve.d % 2 == 0:
-        if Q % (2 * (d - 1)):
-            return None
-        shift = Q // (2 * (d - 1))
-        i1 = ((-(ms + shift)) * (d - 1)) % Q
-        i3 = (d * ms) % Q
-        if curve.family == "A":
-            ratio = ctx.mul(ctx.pow_elem(b, d - 1), ctx.inv(ctx.pow_elem(a, d)))
-            sign = quadratic_sign(ctx, ctx.neg(b))
-        else:
-            ratio = ctx.mul(b, ctx.inv(ctx.pow_elem(a, d)))
-            sign = quadratic_sign(ctx, ctx.neg(ctx.from_int(1)))
-    else:
-        if Q % (2 * d):
-            return None
-        shift = Q // (2 * d)
-        i1 = (-(d - 1) * ms) % Q
-        i3 = (d * (ms + shift)) % Q
-        ratio = ctx.mul(b, ctx.inv(ctx.pow_elem(a, d)))
-        sign = quadratic_sign(ctx, ctx.neg(a))
-    # Past the divisibility tests d < q, so d·ms and k0·ms stay below q².
+    h = Q // 2
+    d = curve.d % Q   # so that every index product below stays below q²
+    ts = np.arange(Q, dtype=np.int64)
+    ms = ts * (1 if curve.family == "A" else d - 1) % Q
+    ns = ts * (Q - d) % Q
     G = ring.gauss_array
-    k0 = dlog(ctx, ratio)
-    terms = ring.mul_vec(ring.mul_vec(G[i1], G[(Q - ms) % Q]),
-                         ring.mul_vec(G[i3], ring.roots_q1[(k0 * ms) % Q]))
+    exps = (h - ms - ns) * dlog(ctx, curve.b) + ns * dlog(ctx, curve.a)
+    terms = ring.mul_vec(ring.mul_vec(G[(ms + ns + h) % Q], G[-ms % Q]),
+                         ring.mul_vec(G[-ns % Q], ring.root_unity_vec(exps)))
     total = ring.wrap(ring.sum_vec(terms))
-    prefactor = sign * ring.wrap(G[Q // 2]) * ring.wrap(ring.inv_int(Q))
-    return prefactor * total
+    sign = -1 if h % 2 else 1   # phi(-1), as dlog(-1) = h
+    return sign * ring.wrap(G[h]) * ring.wrap(ring.inv_int(Q)) * total

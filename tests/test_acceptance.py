@@ -363,9 +363,7 @@ def test_criterion_08_decomposition_waypoints(capsys):
                 assert rep_e.n_reconstructed == n_direct, curve
                 agree(rep_e.yz_sum.lift_int(), lift_float(rep_f.yz_sum))
                 agree(rep_e.n_reconstructed, rep_f.n_reconstructed)
-                # Every grid combination admits the closed quadratic
-                # component; q*N = q^2 + q*phi(b) + D.
-                assert rep_e.quad_component is not None, (q, curve)
+                # q*N = q^2 + q*phi(b) + D, D the quadratic component.
                 total = q * q + q * phi_b + rep_e.quad_component
                 assert total.divide_by_q().lift_int() == n_direct, curve
                 agree(rep_e.quad_component.lift_int(),

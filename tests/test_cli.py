@@ -14,7 +14,7 @@ import jsonschema
 import pytest
 
 import hypercount
-from hypercount import cli
+from hypercount import cli, oracle
 from hypercount.oracle import VERIFY_TABLE_LIMIT
 
 
@@ -269,6 +269,19 @@ def test_verify_json_validates(capsys):
     assert doc["summary"]["failures"] == 0
     assert doc["fields"][0]["q"] == 13
     assert doc["fields"][0]["decompositions"]
+
+
+def test_verify_checks_quad_component(capsys, monkeypatch):
+    # The decomposition's PASS also needs q·N = q² + q·phi(b) + D, so a D
+    # off by one fails it even though n_reconstructed still matches.
+    real = oracle.quad_component
+    monkeypatch.setattr(oracle, "quad_component",
+                        lambda ctx, curve, ring=None:
+                        real(ctx, curve, ring) + 1)
+    code, out, _ = run(capsys, "verify", "--q", "13")
+    assert code == 2
+    assert "FAIL decomposition" in out
+    assert "FAIL gauss" not in out and "FAIL davenport" not in out
 
 
 def test_verify_needs_a_field(capsys):

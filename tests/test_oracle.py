@@ -5,6 +5,7 @@ pinned against hand-frozen values and an all-pairs enumeration that
 shares no code with the vectorized path.
 """
 
+import random
 import tracemalloc
 
 import numpy as np
@@ -343,11 +344,10 @@ def test_decomposition_reconstructs_count(p, e, family, d, backend):
         assert rep.z_sum.lift_int() == -1
         assert rep.yz_sum.lift_int() == 1 + ctx.q * quadratic_sign(ctx, b)
         assert rep.n_reconstructed == brute_count(ctx, curve)
-        if rep.quad_component is not None:
-            total = (ctx.q * ctx.q
-                     + ctx.q * quadratic_sign(ctx, b)
-                     + rep.quad_component)
-            assert total.divide_by_q().lift_int() == rep.n_reconstructed
+        total = (ctx.q * ctx.q
+                 + ctx.q * quadratic_sign(ctx, b)
+                 + rep.quad_component)
+        assert total.divide_by_q().lift_int() == rep.n_reconstructed
 
 
 @pytest.mark.parametrize("p,e", [(2399, 1), (7, 4)])
@@ -368,12 +368,27 @@ def test_decomposition_holds_no_square_table(p, e, backend):
     assert peak < 5 * 2**20
 
 
-def test_quad_component_requires_divisibility():
-    # q = 7: 2(d-1) = 4 does not divide 6, so family A at d = 3 has no
-    # closed quadratic component, while family B's odd form (2d = 6) does.
-    ctx = build_field(7)
-    assert quad_component(ctx, CurveParams("A", 3, 1, 1)) is None
-    assert quad_component(ctx, CurveParams("B", 3, 1, 1)) is not None
-    rep = decompose_theta_sum(ctx, CurveParams("A", 3, 1, 1))
-    assert rep.quad_component is None
-    assert rep.n_reconstructed == brute_count(ctx, CurveParams("A", 3, 1, 1))
+def test_quad_component_gauss_form_at_every_odd_q():
+    # The Gauss-sum form needs no congruence on q: q·N = q² + q·phi(b) + D
+    # on both rings, both families, at d = 2..8 and at degrees past q, and
+    # on fields where the paper's closed forms (and the old folded form of
+    # D, which returned None there) are undefined: A at d = 3 over F_7, say.
+    rng = random.Random(26)
+    for p, e in [(7, 1), (3, 2), (13, 1), (5, 2), (3, 3), (7, 2), (73, 1),
+                 (3, 4), (11, 2), (5, 3), (3, 5), (7, 3), (5, 4)]:
+        ctx = build_field(p, e)
+        q = ctx.q
+        degrees = [*range(2, 9), p, q - 1, q + 1, 2**60 + 1]
+        for backend in ("exact", "float"):
+            ring = get_ring(ctx, backend)
+            for family in "AB":
+                for d in degrees:
+                    curve = CurveParams(family, d, rng.randrange(1, q),
+                                        rng.randrange(1, q))
+                    expect = q * (brute_count(ctx, curve) - q
+                                  - quadratic_sign(ctx, curve.b))
+                    got = quad_component(ctx, curve, ring)
+                    assert got.isclose(expect, scale=q * q), (q, backend,
+                                                              curve)
+                    if backend == "exact":
+                        assert got.lift_int() == expect, (q, curve)
