@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MixedFieldContexts, OrderDoesNotDivide
-from .ffield import FieldCtx, dlog, trace_map
+from .ffield import FieldCtx, _as_int, dlog, trace_map
 from .values import CharValue, get_ring
 
 
@@ -36,13 +36,18 @@ def _default_ring(ctx: FieldCtx, ring):
 
 @dataclass(frozen=True)
 class MultChar:
-    """The multiplicative character T^index on a fixed field context."""
+    """The multiplicative character T^index on a fixed field context.
+
+    index must be an integer (a numpy integer is converted); anything
+    else, a float or a bool included, raises a TypeError.
+    """
 
     ctx: FieldCtx
     index: int
 
     def __post_init__(self):
-        object.__setattr__(self, "index", self.index % (self.ctx.q - 1))
+        index = _as_int(self.index, "index")
+        object.__setattr__(self, "index", index % (self.ctx.q - 1))
 
     @property
     def order(self) -> int:
@@ -98,7 +103,7 @@ def char_of_order(ctx: FieldCtx, n: int) -> MultChar:
 def eval_char(chi: MultChar, x: int, ring=None) -> CharValue:
     """chi(x) in the value ring, with chi(0) = 0."""
     ring = _default_ring(chi.ctx, ring)
-    if x == 0:
+    if _as_int(x, "x") == 0:
         return ring.zero()
     return ring.root_unity(chi.index * dlog(chi.ctx, x))
 

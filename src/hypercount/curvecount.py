@@ -106,7 +106,7 @@ class CountResult:
 def check_coeffs(ctx: FieldCtx, a: int, b: int) -> None:
     """Refuse a or b unless it is a field-element code in [1, q)."""
     for name, val in (("a", a), ("b", b)):
-        check_code(ctx, val, name)
+        check_code(ctx, _as_int(val, name), name)
         if val == 0:
             raise ZeroCoefficient(name)
 
@@ -122,6 +122,7 @@ def _small_int(ctx: FieldCtx, n: int) -> int:
 def alpha_param(ctx: FieldCtx, d: int, a: int, b: int) -> int:
     """Series argument for family A: (d/a) * (b*d / (a*(d-1)))^(d-1)."""
     check_coeffs(ctx, a, b)
+    d = _as_int(d, "d")
     dd = _small_int(ctx, d)
     dm1 = _small_int(ctx, d - 1)
     inner = ctx.mul(ctx.mul(b, dd), ctx.inv(ctx.mul(a, dm1)))
@@ -131,6 +132,7 @@ def alpha_param(ctx: FieldCtx, d: int, a: int, b: int) -> int:
 def beta_param(ctx: FieldCtx, d: int, a: int, b: int) -> int:
     """Series argument for family B: b * d^d / (a^d * (d-1)^(d-1))."""
     check_coeffs(ctx, a, b)
+    d = _as_int(d, "d")
     dd = _small_int(ctx, d)
     dm1 = _small_int(ctx, d - 1)
     num = ctx.mul(b, ctx.pow_elem(dd, d))

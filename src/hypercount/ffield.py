@@ -202,6 +202,8 @@ def _companions(codes: np.ndarray, p: int, e: int) -> np.ndarray:
 def _as_int(value, name: str) -> int:
     """value as an int, from an int or a numpy integer; anything else,
     bool included, raises a TypeError that names the argument."""
+    if type(value) is int:   # the common case, first
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise TypeError(f"{name} must be an integer, got "
                         f"{type(value).__name__} {value!r}")
@@ -670,6 +672,7 @@ def check_code(ctx: FieldCtx, x: int, name: str = "x") -> None:
 
 def dlog(ctx: FieldCtx, x: int) -> int:
     """Discrete log base g of a nonzero element code."""
+    x = _as_int(x, "x")
     if not 0 < x < ctx.q:  # one comparison on the warm count path
         if x == 0:
             raise LogOfZero()

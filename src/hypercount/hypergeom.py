@@ -31,7 +31,7 @@ import numpy as np
 
 from .characters import MultChar, binom_column
 from .errors import MixedFieldContexts
-from .ffield import FieldCtx, dlog
+from .ffield import FieldCtx, _as_int, dlog
 from .values import CharValue, get_ring
 
 
@@ -50,7 +50,8 @@ class HgfSpec:
     tops:     the n+1 upper characters (A_0, ..., A_n).
     bottoms:  the n lower characters (B_1, ..., B_n); slot i >= 1 of the
               product pairs tops[i] with bottoms[i-1].
-    argument: the field-element code x.
+    argument: the field-element code x, an integer (a numpy integer is
+              converted; anything else raises a TypeError).
     """
 
     tops: tuple[MultChar, ...]
@@ -60,6 +61,8 @@ class HgfSpec:
     def __post_init__(self):
         object.__setattr__(self, "tops", tuple(self.tops))
         object.__setattr__(self, "bottoms", tuple(self.bottoms))
+        object.__setattr__(self, "argument",
+                           _as_int(self.argument, "argument"))
         _check_shape(self.tops, self.bottoms)
         ctx = self.tops[0].ctx
         for ch in (*self.tops, *self.bottoms):

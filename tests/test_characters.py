@@ -88,6 +88,25 @@ def test_quadratic_sign_detects_squares(f25):
         assert quadratic_sign(f25, x) == expected
 
 
+@pytest.mark.parametrize("index", [2.5, 2.0, True, "2", np.float64(2)])
+def test_mult_char_refuses_non_integer_indices(f13, index):
+    # MultChar(f13, 2.5) once built a character with index 2.5.
+    with pytest.raises(TypeError, match="^index must be an integer"):
+        MultChar(f13, index)
+
+
+def test_mult_char_converts_numpy_integers(f13):
+    chi = MultChar(f13, np.int64(14))
+    assert chi == MultChar(f13, 2) and type(chi.index) is int
+
+
+@pytest.mark.parametrize("x", [2.0, True, np.float64(2), "2"])
+def test_eval_char_refuses_non_integer_codes(f13, backend, x):
+    # eval_char(chi, 2.0) once ended in numpy's IndexError.
+    with pytest.raises(TypeError, match="^x must be an integer"):
+        eval_char(quadratic_char(f13), x, get_ring(f13, backend))
+
+
 @pytest.mark.parametrize("x", [-1, 13, 14])
 def test_characters_refuse_codes_outside_the_field(f13, backend, x):
     ring = get_ring(f13, backend)

@@ -31,6 +31,7 @@ from hypercount import (
     trace_frobenius_linear,
     trace_frobenius_quadratic,
 )
+from hypercount.curvecount import check_coeffs
 from hypercount.ffield import _build_tables
 from hypercount.values import _RING_CACHE, ComplexRing, ResidueRing
 
@@ -63,6 +64,25 @@ def test_curve_params_refuse_non_integers(name, value):
     args = {"family": "A", "d": 4, "a": 5, "b": 11, name: value}
     with pytest.raises(TypeError, match=f"^{name} must be an integer"):
         CurveParams(**args)
+
+
+@pytest.mark.parametrize("args,name", [
+    ((4, 5.0, 11), "a"), ((4, True, 11), "a"), ((4, 5, np.float64(11)), "b"),
+    ((4.0, 5, 11), "d"), ((True, 5, 11), "d"),
+])
+def test_series_arguments_refuse_non_integers(f13, args, name):
+    # alpha_param(ctx, 4, 5.0, 11) once ended in numpy's IndexError.
+    for param in (alpha_param, beta_param):
+        with pytest.raises(TypeError, match=f"^{name} must be an integer"):
+            param(f13, *args)
+
+
+@pytest.mark.parametrize("a,b,name", [(2.5, 3, "a"), (2, 3.0, "b"),
+                                      (np.bool_(True), 3, "a")])
+def test_check_coeffs_refuses_non_integers(f13, a, b, name):
+    # check_coeffs(ctx, 2.5, 3) once passed.
+    with pytest.raises(TypeError, match=f"^{name} must be an integer"):
+        check_coeffs(f13, a, b)
 
 
 def test_curve_params_convert_numpy_integers():

@@ -505,6 +505,14 @@ def test_build_field_refuses_non_integers(args, name):
         build_field(*args)
 
 
+@pytest.mark.parametrize("x", [2.0, True, np.float64(2), "2"])
+def test_dlog_refuses_non_integer_codes(f13, x):
+    # dlog(ctx, 2.0) once ended in numpy's IndexError.
+    with pytest.raises(TypeError, match="^x must be an integer"):
+        dlog(f13, x)
+    assert dlog(f13, np.int64(2)) == dlog(f13, 2)
+
+
 def test_build_field_converts_numpy_integers():
     ctx = build_field(np.int64(7), np.uint8(2))
     assert ctx is build_field(7, 2)

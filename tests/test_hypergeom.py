@@ -69,6 +69,15 @@ def test_spec_shape_validation(f13, f25):
         HgfSpec((phi, eps), (eps,), -1)
 
 
+@pytest.mark.parametrize("argument", [2.0, True, np.float64(2), "2"])
+def test_hgf_spec_refuses_non_integer_arguments(f13, argument):
+    # HgfSpec(..., argument=2.0) once built, and evaluate_hgf then ended in
+    # numpy's IndexError.
+    phi = quadratic_char(f13)
+    with pytest.raises(TypeError, match="^argument must be an integer"):
+        HgfSpec((phi, trivial_char(f13)), (phi,), argument)
+
+
 def test_a_ring_of_another_field_is_refused(f13, f25, backend):
     ring = get_ring(f25, backend)
     phi, eps = quadratic_char(f13), trivial_char(f13)
