@@ -368,10 +368,6 @@ class FieldCtx:
         """Embed a rational integer via the prime subfield."""
         return n % self.p
 
-    def coeffs(self, u: int) -> tuple[int, ...]:
-        """Coefficient vector (low-to-high degree) of an element code."""
-        return _coeffs(u, self.p, self.e)
-
     def elements(self) -> range:
         return range(self.q)
 
