@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curvecount import CurveParams
+from .curvecount import CurveParams, check_coeffs
 from .errors import CongruenceViolated
 from .ffield import FieldCtx, dlog
 from .values import CharValue, get_ring
@@ -101,7 +101,9 @@ class DecompositionReport:
 # ---------------------------------------------------------------------------
 
 def rhs_table(ctx: FieldCtx, curve: CurveParams) -> np.ndarray:
-    """Codes of f(x) for x = 0..q-1, f the curve's right-hand side."""
+    """Codes of f(x) for x = 0..q-1, f the curve's right-hand side.  A
+    coefficient outside [1, q) raises ValueError."""
+    check_coeffs(ctx, curve.a, curve.b)
     xs = np.arange(ctx.q, dtype=np.int64)
     lead = ctx.pow_elem(xs, curve.d)
     if curve.family == "A":

@@ -55,6 +55,14 @@ def all_pairs_count(ctx, curve):
 # Brute-force counting
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("a,b", [(13, 1), (-1, 1), (1, 14), (1, -1)])
+def test_brute_count_refuses_codes_outside_the_field(f13, a, b):
+    # a = 13 once ended in numpy's IndexError, and a = -1 read the last
+    # entry of the log table.
+    with pytest.raises(ValueError, match="not a field-element code"):
+        brute_count(f13, CurveParams("A", 4, a, b))
+
+
 def test_brute_count_frozen_base_cases():
     ctx = build_field(3)
     assert brute_count(ctx, CurveParams("A", 3, 1, 1)) == 3
