@@ -46,7 +46,9 @@ class MultChar:
     index: int
 
     def __post_init__(self):
-        index = _as_int(self.index, "index")
+        index = self.index
+        if type(index) is not int:   # eight characters a warm count
+            index = _as_int(index, "index")
         object.__setattr__(self, "index", index % (self.ctx.q - 1))
 
     @property

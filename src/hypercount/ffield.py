@@ -668,7 +668,8 @@ def check_code(ctx: FieldCtx, x: int, name: str = "x") -> None:
 
 def dlog(ctx: FieldCtx, x: int) -> int:
     """Discrete log base g of a nonzero element code."""
-    x = _as_int(x, "x")
+    if type(x) is not int:
+        x = _as_int(x, "x")
     if not 0 < x < ctx.q:  # one comparison on the warm count path
         if x == 0:
             raise LogOfZero()
