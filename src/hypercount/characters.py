@@ -27,11 +27,7 @@ import numpy as np
 
 from .errors import MixedFieldContexts, OrderDoesNotDivide
 from .ffield import FieldCtx, _as_int, dlog, trace_map
-from .values import CharValue, get_ring
-
-
-def _default_ring(ctx: FieldCtx, ring):
-    return get_ring(ctx, "float") if ring is None else ring
+from .values import CharValue, _resolve_ring
 
 
 @dataclass(frozen=True)
@@ -104,7 +100,7 @@ def char_of_order(ctx: FieldCtx, n: int) -> MultChar:
 
 def eval_char(chi: MultChar, x: int, ring=None) -> CharValue:
     """chi(x) in the value ring, with chi(0) = 0."""
-    ring = _default_ring(chi.ctx, ring)
+    ring = _resolve_ring(chi.ctx, ring, "float")
     if _as_int(x, "x") == 0:
         return ring.zero()
     return ring.root_unity(chi.index * dlog(chi.ctx, x))
@@ -119,13 +115,13 @@ def quadratic_sign(ctx: FieldCtx, x: int) -> int:
 
 def theta(ctx: FieldCtx, alpha: int, ring=None) -> CharValue:
     """The additive character theta(alpha) = zeta_p^tr(alpha)."""
-    ring = _default_ring(ctx, ring)
+    ring = _resolve_ring(ctx, ring, "float")
     return ring.theta_root(trace_map(ctx, alpha))
 
 
 def gauss_sum(chi: MultChar, ring=None) -> CharValue:
     """G(chi) = sum_x chi(x) theta(x), from the per-ring cached table."""
-    ring = _default_ring(chi.ctx, ring)
+    ring = _resolve_ring(chi.ctx, ring, "float")
     return ring.wrap(ring.gauss_array[chi.index])
 
 
@@ -137,7 +133,7 @@ def jacobi_sum(A: MultChar, B: MultChar, ring=None) -> CharValue:
     """
     A._check_ctx(B)
     ctx = A.ctx
-    ring = _default_ring(ctx, ring)
+    ring = _resolve_ring(ctx, ring, "float")
     Q = ctx.q - 1
     i = np.arange(1, Q, dtype=np.int64)
     # int64: the table is int32, and B.index·dlog(1 - x) reaches (q-1)^2.
@@ -148,7 +144,7 @@ def jacobi_sum(A: MultChar, B: MultChar, ring=None) -> CharValue:
 
 def binom(A: MultChar, B: MultChar, ring=None) -> CharValue:
     """Normalized binomial: binom(A, B) = B(-1)/q * J(A, conj(B))."""
-    ring = _default_ring(A.ctx, ring)
+    ring = _resolve_ring(A.ctx, ring, "float")
     j = jacobi_sum(A, B.bar(), ring)
     value = j.divide_by_q()
     return -value if B.sign_at_minus_one() < 0 else value
@@ -188,7 +184,7 @@ def binom_column(ctx: FieldCtx, m0: int, n0: int, ring=None,
     is, so the caller must pop ``(m0 % (q-1), n0 % (q-1))`` from the
     ring's ``_binom_cache`` before it writes into the buffer again.
     """
-    ring = _default_ring(ctx, ring)
+    ring = _resolve_ring(ctx, ring, "float")
     Q = ctx.q - 1
     m0 %= Q
     n0 %= Q

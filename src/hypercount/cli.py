@@ -127,12 +127,6 @@ def _field_for(q: int, config: RunConfig) -> FieldCtx:
                        table_budget=config.table_budget)
 
 
-def _ring_for(ctx: FieldCtx, config: RunConfig):
-    if config.backend == "float":
-        return get_ring(ctx, "float", tolerance=config.tolerance)
-    return get_ring(ctx, "exact")
-
-
 def _ell_pair(ring) -> tuple[int, int | None]:
     """What the backend report keeps of a ring: q, and ell if exact."""
     return ring.ctx.q, getattr(ring, "ell", None)
@@ -186,7 +180,7 @@ def cmd_count(q: int, family: str, d: int, a: int, b: int,
     curve = CurveParams(family, d, a, b)
     # Codes are not reduced mod q: on F_{p^e} the code q-1 is not -1.
     check_coeffs(ctx, a, b)
-    ring = _ring_for(ctx, config)
+    ring = get_ring(ctx, config.backend, tolerance=config.tolerance)
     start = time.perf_counter()
     if brute:
         result = CountResult(brute_count(ctx, curve), BRUTE_FORCE, None, None)
@@ -274,7 +268,8 @@ def cmd_sweep(q_max: int, d_list: tuple[int, ...], samples: int,
                     continue
                 if ctx is None:
                     ctx = _field_for(q, config)
-                    ring = _ring_for(ctx, config)
+                    ring = get_ring(ctx, config.backend,
+                                    tolerance=config.tolerance)
                     ells.append(_ell_pair(ring))
                 for a, b in _sample_pairs(q, d, family, samples, config.seed):
                     start = time.perf_counter()
@@ -374,7 +369,7 @@ def cmd_verify(qs: tuple[int, ...], config: RunConfig) -> int:
     ells = []
     for p, e in params:  # one field and ring alive at a time
         ctx = build_field(p, e, table_budget=config.table_budget)
-        ring = _ring_for(ctx, config)
+        ring = get_ring(ctx, config.backend, tolerance=config.tolerance)
         ells.append(_ell_pair(ring))
         fields.append(_verify_field(ctx, ring, config.seed))
     failures = sum(1 for f in fields

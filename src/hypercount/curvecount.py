@@ -34,10 +34,10 @@ from .characters import (
     quadratic_sign,
     trivial_char,
 )
-from .errors import CongruenceViolated, MixedFieldContexts, ZeroCoefficient
+from .errors import CongruenceViolated, ZeroCoefficient
 from .ffield import FieldCtx, _as_int, check_code
 from .hypergeom import HgfSpec, evaluate_hgf
-from .values import CharValue, get_ring
+from .values import CharValue, _resolve_ring
 
 #: Method tags carried by CountResult (also the CLI's method vocabulary).
 FAMILY_A_EVEN = "family_a_even"
@@ -292,12 +292,10 @@ def _closed_form(ctx: FieldCtx, form: ClosedForm, d: int, a: int, b: int,
 
     Returns (value, series value, argument).
     """
+    ring = _resolve_ring(ctx, ring, "exact")
     if (ctx.q - 1) % form.modulus(d):
         raise CongruenceViolated(ctx.q, form.modulus(d))
     arg = form.argument(ctx, d, a, b)   # checks a and b first
-    ring = get_ring(ctx, "exact") if ring is None else ring
-    if ring.ctx is not ctx:
-        raise MixedFieldContexts()
     tops, bottoms = form.characters(ctx, d)
     series = evaluate_hgf(HgfSpec(tops, bottoms, arg), ring)
     lead, twist = form.prefactor(ctx, d, a, b, arg, ring)

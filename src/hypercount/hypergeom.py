@@ -32,7 +32,7 @@ import numpy as np
 from .characters import MultChar, binom_column
 from .errors import MixedFieldContexts
 from .ffield import FieldCtx, _as_int, dlog
-from .values import CharValue, get_ring
+from .values import CharValue, _resolve_ring
 
 
 def _check_shape(tops, bottoms) -> None:
@@ -104,6 +104,7 @@ def coefficient_vector(ctx: FieldCtx, top_indices: tuple[int, ...],
     column is written into the owned result and every later one into one
     scratch buffer, freed on return.
     """
+    ring = _resolve_ring(ctx, ring, "float")
     key = _series_key(ctx, top_indices, bottom_indices)
     cached = ring._hgf_cache.get(key)
     if cached is not None:
@@ -133,8 +134,7 @@ def series_values(ctx: FieldCtx, top_indices: tuple[int, ...],
     coefficient vector from the ring.  A transform that raises caches
     nothing.  A ring of another field raises :class:`MixedFieldContexts`.
     """
-    if ring.ctx is not ctx:
-        raise MixedFieldContexts()
+    ring = _resolve_ring(ctx, ring, "float")
     key = _series_key(ctx, top_indices, bottom_indices)
     spectrum = ring._spectra.get(key)
     if spectrum is None:
@@ -157,9 +157,7 @@ def evaluate_hgf(spec: HgfSpec, ring=None) -> CharValue:
     :class:`MixedFieldContexts`.
     """
     ctx = spec.ctx
-    ring = get_ring(ctx, "float") if ring is None else ring
-    if ring.ctx is not ctx:
-        raise MixedFieldContexts()
+    ring = _resolve_ring(ctx, ring, "float")
     if spec.argument == 0:
         # chi(0) = 0 for every chi, so each summand vanishes.
         return ring.zero()

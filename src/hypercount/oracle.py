@@ -40,7 +40,7 @@ import numpy as np
 from .curvecount import CurveParams, check_coeffs
 from .errors import CongruenceViolated
 from .ffield import FieldCtx, dlog
-from .values import CharValue, get_ring
+from .values import CharValue, _resolve_ring
 
 #: Entries of an O(q²) table that a verifier builds at once: tables of q²
 #: entries are built and checked in blocks of about this many.
@@ -136,7 +136,7 @@ def theta_scaled_sum(ctx: FieldCtx, u: int, ring=None) -> CharValue:
     it into q times the indicator of u = 0); computing it literally is
     the point — decomposition checks must not assume the collapse.
     """
-    ring = get_ring(ctx, "exact") if ring is None else ring
+    ring = _resolve_ring(ctx, ring, "exact")
     return ring.wrap(_zsum_rows(ctx, ring, np.array([u]))[0])
 
 
@@ -246,7 +246,7 @@ def verify_lemmas(ctx: FieldCtx, ring=None) -> list[IdentityReport]:
     ``ring.matmul`` takes, once.  Mismatches are reported m-major, n
     ascending.
     """
-    ring = get_ring(ctx, "exact") if ring is None else ring
+    ring = _resolve_ring(ctx, ring, "exact")
     Q = ctx.q - 1
     G = ring.gauss_array
     roots = ring.roots_q1
@@ -326,7 +326,7 @@ def _dh_setup(ctx: FieldCtx, m: int, ring):
         raise ValueError(f"m must be positive, got {m}")
     if (ctx.q - 1) % m:
         raise CongruenceViolated(ctx.q, m)
-    ring = get_ring(ctx, "exact") if ring is None else ring
+    ring = _resolve_ring(ctx, ring, "exact")
     G, unit = ring.unit_gauss()
     k1 = dlog(ctx, ctx.pow_elem(ctx.inv(ctx.from_int(m)), m))
     return ring, G, unit, _coset_product(ring, G, m), k1
@@ -452,7 +452,7 @@ def decompose_theta_sum(ctx: FieldCtx, curve: CurveParams,
     counts.  The quadratic-twist component is the Gauss-sum form of
     :func:`quad_component`.
     """
-    ring = get_ring(ctx, "exact") if ring is None else ring
+    ring = _resolve_ring(ctx, ring, "exact")
     q = ctx.q
     ztab = _theta_zsum_table(ctx, ring)
     fx = rhs_table(ctx, curve)
@@ -491,7 +491,7 @@ def quad_component(ctx: FieldCtx, curve: CurveParams,
     Valid at every odd q and d >= 2, in one O(q) gather and multiply; the
     paper's congruence on q only folds the triples into its binomials.
     """
-    ring = get_ring(ctx, "exact") if ring is None else ring
+    ring = _resolve_ring(ctx, ring, "exact")
     Q = ctx.q - 1
     h = Q // 2
     d = curve.d % Q   # so that every index product below stays below q²

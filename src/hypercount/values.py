@@ -861,3 +861,14 @@ def get_ring(ctx: FieldCtx, backend: str = "float", *,
     else:
         raise ValueError(f"unknown backend {backend!r}")
     return _CACHE.ring(ctx, key, make)
+
+
+def _resolve_ring(ctx: FieldCtx, ring, backend: str):
+    """The ring a function with a ``ring=`` argument computes in: ``ring``,
+    or the field's cached ``backend`` ring when it is None.  A ring of
+    another field raises :class:`MixedFieldContexts`."""
+    if ring is None:
+        return get_ring(ctx, backend)
+    if ring.ctx is not ctx:
+        raise MixedFieldContexts()
+    return ring

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 import sympy
 
+import hypercount as hc
 from hypercount import (
     ComplexRing,
     CurveParams,
@@ -253,6 +254,56 @@ def test_mixed_rings_do_not_combine(f13, f25):
     with pytest.raises(MixedFieldContexts):
         a + b
     assert (a == b) is False
+
+
+#: Every public function with a ``ring=`` argument, called on ``ctx`` with
+#: ``ring``; each argument other than the ring is valid on F_7 and F_13.
+RING_TAKERS = {
+    "eval_char": lambda ctx, ring: hc.eval_char(hc.MultChar(ctx, 1), 2, ring),
+    "theta": lambda ctx, ring: hc.theta(ctx, 2, ring),
+    "gauss_sum": lambda ctx, ring: hc.gauss_sum(hc.MultChar(ctx, 1), ring),
+    "jacobi_sum": lambda ctx, ring: hc.jacobi_sum(
+        hc.MultChar(ctx, 1), hc.MultChar(ctx, 2), ring),
+    "binom": lambda ctx, ring: hc.binom(
+        hc.MultChar(ctx, 1), hc.MultChar(ctx, 2), ring),
+    "binom_column": lambda ctx, ring: hc.binom_column(ctx, 1, 2, ring),
+    "coefficient_vector": lambda ctx, ring: hc.coefficient_vector(
+        ctx, (1, 0), (1,), ring),
+    "series_values": lambda ctx, ring: hc.series_values(
+        ctx, (1, 0), (1,), ring),
+    "evaluate_hgf": lambda ctx, ring: hc.evaluate_hgf(hc.HgfSpec(
+        (hc.MultChar(ctx, 1), hc.MultChar(ctx, 0)), (hc.MultChar(ctx, 1),),
+        2), ring),
+    "count_points": lambda ctx, ring: hc.count_points(
+        ctx, CurveParams("B", 3, 1, 2), ring=ring),
+    "trace_frobenius_linear": lambda ctx, ring: hc.trace_frobenius_linear(
+        ctx, 1, 2, ring=ring),
+    "trace_frobenius_quadratic":
+        lambda ctx, ring: hc.trace_frobenius_quadratic(ctx, 1, 2, ring=ring),
+    "theta_scaled_sum": lambda ctx, ring: hc.theta_scaled_sum(ctx, 2, ring),
+    "verify_lemmas": lambda ctx, ring: hc.verify_lemmas(ctx, ring),
+    "verify_davenport_hasse": lambda ctx, ring: hc.verify_davenport_hasse(
+        ctx, 2, 1, ring),
+    "davenport_hasse_products":
+        lambda ctx, ring: hc.davenport_hasse_products(ctx, 2, ring),
+    "decompose_theta_sum": lambda ctx, ring: hc.decompose_theta_sum(
+        ctx, CurveParams("A", 2, 1, 2), ring),
+    "quad_component": lambda ctx, ring: hc.quad_component(
+        ctx, CurveParams("A", 2, 1, 2), ring),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RING_TAKERS))
+@pytest.mark.parametrize("backend", ["exact", "float"])
+@pytest.mark.parametrize("p,other", [(13, 7), (7, 13)])
+def test_every_ring_argument_refuses_a_ring_of_another_field(
+        name, backend, p, other):
+    ctx = build_field(p)
+    call = RING_TAKERS[name]
+    if p == 13:   # F_7 fails trace_frobenius_linear's q = 1 (mod 12)
+        call(ctx, get_ring(ctx, backend))   # the field's own ring is taken
+    with pytest.raises(MixedFieldContexts):
+        call(ctx, get_ring(build_field(other), backend))
 
 
 def test_values_close_scales_with_magnitude(f13):
