@@ -93,6 +93,7 @@ def quadratic_char(ctx: FieldCtx) -> MultChar:
 def char_of_order(ctx: FieldCtx, n: int) -> MultChar:
     """The distinguished character of exact order n, namely T^((q-1)/n)."""
     Q = ctx.q - 1
+    n = _as_int(n, "n")
     if n < 1 or Q % n != 0:
         raise OrderDoesNotDivide(n, Q)
     return MultChar(ctx, Q // n)
@@ -186,8 +187,8 @@ def binom_column(ctx: FieldCtx, m0: int, n0: int, ring=None,
     """
     ring = _resolve_ring(ctx, ring, "float")
     Q = ctx.q - 1
-    m0 %= Q
-    n0 %= Q
+    m0 = _as_int(m0, "m0") % Q
+    n0 = _as_int(n0, "n0") % Q
     key = (m0, n0)
     cached = ring._binom_cache.get(key)
     if cached is not None:

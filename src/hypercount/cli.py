@@ -333,9 +333,12 @@ def _verify_field(ctx: FieldCtx, ring, seed: int) -> dict:
             curve = CurveParams(family, d, a, b)
             rep = decompose_theta_sum(ctx, curve, ring)
             n_direct = brute_count(ctx, curve)
-            # q·N = q² + q·phi(b) + quad_component, as the paper's count.
-            quad_ok = rep.quad_component.isclose(
-                q * (n_direct - q - quadratic_sign(ctx, b)), scale=q * q)
+            # q·N = q² + q·phi(b) + quad_component, as the paper's count,
+            # checked after dividing by q: at scale q² a float check could
+            # not see an error below tolerance·q².
+            quad_n = (rep.quad_component
+                      + q * (q + quadratic_sign(ctx, b))).divide_by_q()
+            quad_ok = quad_n.isclose(n_direct)
             decompositions.append({
                 "family": family, "d": d, "a": a, "b": b,
                 "z_sum": _value_json(rep.z_sum),

@@ -50,6 +50,17 @@ COUNT_METHODS = (FAMILY_A_EVEN, FAMILY_A_ODD, FAMILY_B_EVEN, FAMILY_B_ODD,
                  BRUTE_FORCE)
 
 
+def _family_degree(family: str, d: int) -> int:
+    """d as an int; a family other than "A" or "B", or d < 2, raises
+    ValueError."""
+    if family not in ("A", "B"):
+        raise ValueError(f"family must be 'A' or 'B', got {family!r}")
+    d = _as_int(d, "d")
+    if d < 2:
+        raise ValueError(f"degree must be >= 2, got {d}")
+    return d
+
+
 @dataclass(frozen=True)
 class CurveParams:
     """One member of a hyperelliptic family.
@@ -69,12 +80,9 @@ class CurveParams:
     b: int
 
     def __post_init__(self):
-        if self.family not in ("A", "B"):
-            raise ValueError(f"family must be 'A' or 'B', got {self.family!r}")
-        for name in ("d", "a", "b"):
+        object.__setattr__(self, "d", _family_degree(self.family, self.d))
+        for name in ("a", "b"):
             object.__setattr__(self, name, _as_int(getattr(self, name), name))
-        if self.d < 2:
-            raise ValueError(f"degree must be >= 2, got {self.d}")
         if self.a == 0:
             raise ZeroCoefficient("a")
         if self.b == 0:
@@ -103,10 +111,16 @@ class CountResult:
             object.__setattr__(self, "argument", int(self.argument))
 
 
-def check_coeffs(ctx: FieldCtx, a: int, b: int) -> None:
-    """Refuse a or b unless it is a field-element code in [1, q)."""
+def _check_codes(ctx: FieldCtx, a: int, b: int) -> None:
+    """Refuse a or b unless it is a field-element code in [0, q)."""
     for name, val in (("a", a), ("b", b)):
         check_code(ctx, _as_int(val, name), name)
+
+
+def check_coeffs(ctx: FieldCtx, a: int, b: int) -> None:
+    """Refuse a or b unless it is a field-element code in [1, q)."""
+    _check_codes(ctx, a, b)
+    for name, val in (("a", a), ("b", b)):
         if val == 0:
             raise ZeroCoefficient(name)
 
@@ -314,7 +328,9 @@ def count_points(ctx: FieldCtx, curve: CurveParams, *, ring=None) -> CountResult
 
 
 def required_congruence(family: str, d: int) -> int:
-    """Modulus m such that the closed form needs q = 1 (mod m)."""
+    """Modulus m such that the closed form needs q = 1 (mod m).  The
+    family and d are refused as :class:`CurveParams` refuses them."""
+    d = _family_degree(family, d)
     return CLOSED_FORMS[family, _parity(d)].modulus(d)
 
 
@@ -347,6 +363,7 @@ def trace_frobenius_quadratic(ctx: FieldCtx, a: int, b: int, *,
 
 def cubic_discriminant_linear(ctx: FieldCtx, a: int, b: int) -> int:
     """Discriminant code of y² = x³+ax+b: -16(4a³ + 27b²)."""
+    _check_codes(ctx, a, b)
     val = ctx.add(ctx.mul(ctx.from_int(4), ctx.pow_elem(a, 3)),
                   ctx.mul(ctx.from_int(27), ctx.mul(b, b)))
     return ctx.mul(ctx.from_int(-16), val)
@@ -354,6 +371,7 @@ def cubic_discriminant_linear(ctx: FieldCtx, a: int, b: int) -> int:
 
 def cubic_discriminant_quadratic(ctx: FieldCtx, a: int, b: int) -> int:
     """Discriminant code of y² = x³+ax²+b: -16·b·(4a³ + 27b)."""
+    _check_codes(ctx, a, b)
     val = ctx.add(ctx.mul(ctx.from_int(4), ctx.pow_elem(a, 3)),
                   ctx.mul(ctx.from_int(27), b))
     return ctx.mul(ctx.mul(ctx.from_int(-16), b), val)

@@ -679,5 +679,6 @@ def dlog(ctx: FieldCtx, x: int) -> int:
 
 def trace_map(ctx: FieldCtx, alpha: int) -> int:
     """F_p-valued field trace of an element code, as an int in [0, p)."""
+    alpha = _as_int(alpha, "alpha")
     check_code(ctx, alpha, "alpha")
     return int(ctx.trace_table[alpha])

@@ -88,10 +88,12 @@ _DIRECT_EVALS = 31
 
 
 def _series_key(ctx: FieldCtx, top_indices, bottom_indices) -> tuple:
+    """The index lists reduced mod q-1; an index that is not an integer
+    raises a TypeError."""
     _check_shape(top_indices, bottom_indices)
     Q = ctx.q - 1
-    return (tuple(i % Q for i in top_indices),
-            tuple(i % Q for i in bottom_indices))
+    return (tuple(_as_int(i, "index") % Q for i in top_indices),
+            tuple(_as_int(i, "index") % Q for i in bottom_indices))
 
 
 def coefficient_vector(ctx: FieldCtx, top_indices: tuple[int, ...],
@@ -165,9 +167,12 @@ def evaluate_hgf(spec: HgfSpec, ring=None) -> CharValue:
     bottoms = tuple(ch.index for ch in spec.bottoms)
     k = dlog(ctx, spec.argument)
     key = _series_key(ctx, tops, bottoms)
+    spectrum = ring._spectra.get(key)
     uses = ring._hgf_uses.get(key, 0)
-    if key in ring._spectra or uses >= _DIRECT_EVALS:
-        return ring.wrap(series_values(ctx, tops, bottoms, ring)[k])
+    if spectrum is None and uses >= _DIRECT_EVALS:
+        spectrum = series_values(ctx, tops, bottoms, ring)
+    if spectrum is not None:
+        return ring.wrap(spectrum[k])
     coeffs = coefficient_vector(ctx, tops, bottoms, ring)
     Q = ctx.q - 1
     exps = np.arange(Q, dtype=np.int64)

@@ -39,7 +39,7 @@ import numpy as np
 
 from .curvecount import CurveParams, check_coeffs
 from .errors import CongruenceViolated
-from .ffield import FieldCtx, dlog
+from .ffield import FieldCtx, _as_int, dlog
 from .values import CharValue, _resolve_ring
 
 #: Entries of an O(q²) table that a verifier builds at once: tables of q²
@@ -358,10 +358,11 @@ def verify_davenport_hasse(ctx: FieldCtx, m: int, psi_index: int,
 
     Requires q = 1 (mod m); m = 1 exercises only the product relation.
     """
+    m = _as_int(m, "m")
     ring, G, unit, up, k1 = _dh_setup(ctx, m, ring)
     Q = ctx.q - 1
     roots = ring.roots_q1
-    psi_index %= Q
+    psi_index = _as_int(psi_index, "psi_index") % Q
     reports = []
     ls = np.arange(Q, dtype=np.int64)
 
@@ -419,6 +420,7 @@ def davenport_hasse_products(ctx: FieldCtx, m: int,
 
     Requires q = 1 (mod m).
     """
+    m = _as_int(m, "m")
     ring, G, unit, lhs, k1 = _dh_setup(ctx, m, ring)
     Q = ctx.q - 1
     psis = np.arange(Q, dtype=np.int64)

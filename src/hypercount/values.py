@@ -49,6 +49,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 
 import numpy as np
 
@@ -57,8 +58,9 @@ from .errors import (
     FloatRangeExceeded,
     MixedFieldContexts,
     NonIntegerResult,
+    format_int,
 )
-from .ffield import _CACHE, FieldCtx, is_prime, least_primitive_root
+from .ffield import _CACHE, FieldCtx, _as_int, is_prime, least_primitive_root
 
 #: Default absolute tolerance for integer-valued float results.
 DEFAULT_TOLERANCE = 1e-6
@@ -463,7 +465,8 @@ class ResidueRing(_Ring):
     residue.
 
     An explicit ``d_max`` instead sizes ell above 4·q^(ceil(d_max/2) + 1)
-    and falls back to object-dtype arithmetic once ell reaches 2**50.
+    and falls back to object-dtype arithmetic once ell reaches 2**50; a
+    bound that puts ell past 2**63 raises ValueError before the search.
 
     The Gauss table is the length-Q DFT of u[i] = zeta_p^tr(g^i), Q = q - 1,
     computed by :meth:`dft` (Bluestein 1970).  Since m·k = C(m+k, 2) -
@@ -526,7 +529,15 @@ class ResidueRing(_Ring):
         if d_max is None:
             bound = max(_ELL_FLOOR, 8 * q * q)
         else:
-            bound = 4 * q ** (math.ceil(d_max / 2) + 1)
+            # ell > 4·q^k >= 2**(2 + k·(bits(q) - 1)), so a modulus past
+            # 2**63 is refused before q^k is built or searched from.
+            k = (d_max + 1) // 2 + 1
+            if k * (q.bit_length() - 1) >= 61 or 4 * q**k >= 2**63:
+                raise ValueError(
+                    f"an auxiliary modulus above 4·q^{format_int(k)} is too "
+                    f"large for the exact backend at q={q}, "
+                    f"d_max={format_int(d_max)}; use the float backend")
+            bound = 4 * q**k
         start = (bound // n + 1) * n + 1
         self.ell = next(m for m in itertools.count(start, n) if is_prime(m))
         if d_max is None and self.ell >= _FLOAT_MULMOD_LIMIT:
@@ -850,8 +861,16 @@ def get_ring(ctx: FieldCtx, backend: str = "float", *,
     Rings live in the field cache with their field (see :mod:`.ffield`):
     evicted with it, and returned again while a caller still holds them.
     ``d_max`` applies to the exact backend only; leave it unset for the
-    default modulus (see :class:`ResidueRing`).
+    default modulus (see :class:`ResidueRing`).  ``tolerance`` must be a
+    real number and ``d_max`` an integer: a bool, a string or any other
+    type raises a TypeError, before the cache is consulted.
     """
+    if (isinstance(tolerance, (bool, np.bool_))
+            or not isinstance(tolerance, numbers.Real)):
+        raise TypeError(f"tolerance must be a real number, got "
+                        f"{type(tolerance).__name__} {tolerance!r}")
+    if d_max is not None:
+        d_max = _as_int(d_max, "d_max")
     if backend == "float":
         key = ("float", tolerance)
         make = functools.partial(ComplexRing, ctx, tolerance)

@@ -107,6 +107,31 @@ def test_eval_char_refuses_non_integer_codes(f13, backend, x):
         eval_char(quadratic_char(f13), x, get_ring(f13, backend))
 
 
+@pytest.mark.parametrize("alpha", [2.0, True, np.float64(2), "2"])
+def test_theta_refuses_non_integer_codes(f13, backend, alpha):
+    # theta(ctx, 2.0) once ended in numpy's IndexError.
+    with pytest.raises(TypeError, match="^alpha must be an integer"):
+        theta(f13, alpha, get_ring(f13, backend))
+
+
+@pytest.mark.parametrize("n", [True, 3.0, np.float64(3), "3"])
+def test_char_of_order_refuses_non_integer_orders(f13, n):
+    # char_of_order(ctx, True) once returned the trivial character.
+    with pytest.raises(TypeError, match="^n must be an integer"):
+        char_of_order(f13, n)
+    assert char_of_order(f13, np.int64(3)) == char_of_order(f13, 3)
+
+
+@pytest.mark.parametrize("m0,n0,name", [(1.0, 2, "m0"), (1, 2.5, "n0"),
+                                        (True, 2, "m0")])
+def test_binom_column_refuses_non_integer_indices(f13, backend, m0, n0,
+                                                  name):
+    # binom_column(ctx, 1.0, 2) once ended in numpy's "slice indices must
+    # be integers".
+    with pytest.raises(TypeError, match=f"^{name} must be an integer"):
+        binom_column(f13, m0, n0, get_ring(f13, backend))
+
+
 @pytest.mark.parametrize("x", [-1, 13, 14])
 def test_characters_refuse_codes_outside_the_field(f13, backend, x):
     ring = get_ring(f13, backend)

@@ -271,14 +271,18 @@ def test_verify_json_validates(capsys):
     assert doc["fields"][0]["decompositions"]
 
 
-def test_verify_checks_quad_component(capsys, monkeypatch):
+@pytest.mark.parametrize("argv", [("--q", "13"),
+                                  ("--q", "1201", "--backend", "float")])
+def test_verify_checks_quad_component(capsys, monkeypatch, argv):
     # The decomposition's PASS also needs q·N = q² + q·phi(b) + D, so a D
-    # off by one fails it even though n_reconstructed still matches.
+    # off by one fails it even though n_reconstructed still matches.  On
+    # float at q = 1201 the check once compared at scale q², where
+    # tolerance·q² = 1.44 hid the error.
     real = oracle.quad_component
     monkeypatch.setattr(oracle, "quad_component",
                         lambda ctx, curve, ring=None:
                         real(ctx, curve, ring) + 1)
-    code, out, _ = run(capsys, "verify", "--q", "13")
+    code, out, _ = run(capsys, "verify", *argv)
     assert code == 2
     assert "FAIL decomposition" in out
     assert "FAIL gauss" not in out and "FAIL davenport" not in out

@@ -85,6 +85,40 @@ def test_check_coeffs_refuses_non_integers(f13, a, b, name):
         check_coeffs(f13, a, b)
 
 
+@pytest.mark.parametrize("disc", [cubic_discriminant_linear,
+                                  cubic_discriminant_quadratic])
+@pytest.mark.parametrize("a,b,name", [(1.5, 2, "a"), (1, 2.0, "b"),
+                                      (True, 2, "a")])
+def test_cubic_discriminants_refuse_non_integers(f13, disc, a, b, name):
+    # cubic_discriminant_linear(ctx, 1.5, 2) once ended in numpy's
+    # IndexError.
+    with pytest.raises(TypeError, match=f"^{name} must be an integer"):
+        disc(f13, a, b)
+
+
+@pytest.mark.parametrize("disc", [cubic_discriminant_linear,
+                                  cubic_discriminant_quadratic])
+def test_cubic_discriminants_refuse_codes_outside_the_field(f13, disc):
+    for a, b in ((13, 2), (1, -1)):
+        with pytest.raises(ValueError, match="is not a field-element code"):
+            disc(f13, a, b)
+    assert disc(f13, 0, 2) == disc(f13, np.int64(0), np.int64(2))
+
+
+@pytest.mark.parametrize("family,d,error", [
+    ("A", 4.0, TypeError), ("B", True, TypeError), ("C", 4, ValueError),
+    ("A", 1, ValueError),
+])
+def test_required_congruence_refuses_what_curve_params_refuses(family, d,
+                                                               error):
+    # required_congruence("A", 4.0) once returned 24.0, ("C", 4) raised
+    # KeyError and ("A", 1) returned the modulus 0.
+    with pytest.raises(error):
+        required_congruence(family, d)
+    with pytest.raises(error):
+        CurveParams(family, d, 1, 1)
+
+
 def test_curve_params_convert_numpy_integers():
     curve = CurveParams("A", np.int64(4), np.int32(5), np.uint16(11))
     assert curve == CurveParams("A", 4, 5, 11)

@@ -505,6 +505,14 @@ def test_build_field_refuses_non_integers(args, name):
         build_field(*args)
 
 
+@pytest.mark.parametrize("alpha", [2.0, True, np.float64(2), "2"])
+def test_trace_map_refuses_non_integer_codes(f13, alpha):
+    # trace_map(ctx, 2.0) once ended in numpy's IndexError.
+    with pytest.raises(TypeError, match="^alpha must be an integer"):
+        trace_map(f13, alpha)
+    assert trace_map(f13, np.int64(2)) == trace_map(f13, 2)
+
+
 @pytest.mark.parametrize("x", [2.0, True, np.float64(2), "2"])
 def test_dlog_refuses_non_integer_codes(f13, x):
     # dlog(ctx, 2.0) once ended in numpy's IndexError.

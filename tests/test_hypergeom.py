@@ -78,6 +78,17 @@ def test_hgf_spec_refuses_non_integer_arguments(f13, argument):
         HgfSpec((phi, trivial_char(f13)), (phi,), argument)
 
 
+@pytest.mark.parametrize("tops,bottoms", [((1.0, 0), (1,)), ((1, 0), (1.5,)),
+                                          ((True, 0), (1,))])
+@pytest.mark.parametrize("call", [series_values, coefficient_vector])
+def test_series_index_lists_refuse_non_integers(f13, backend, call, tops,
+                                                bottoms):
+    # series_values(ctx, (1.0, 0), (1,), ring) once ended in numpy's
+    # "slice indices must be integers".
+    with pytest.raises(TypeError, match="^index must be an integer"):
+        call(f13, tops, bottoms, get_ring(f13, backend))
+
+
 def test_a_ring_of_another_field_is_refused(f13, f25, backend):
     ring = get_ring(f25, backend)
     phi, eps = quadratic_char(f13), trivial_char(f13)

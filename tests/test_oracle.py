@@ -33,6 +33,19 @@ from hypercount.ffield import _build_tables
 from hypercount.oracle import _compare, _coset_product, _product_down
 
 
+@pytest.mark.parametrize("call,name", [
+    (lambda ctx, ring: davenport_hasse_products(ctx, 3.0, ring), "m"),
+    (lambda ctx, ring: verify_davenport_hasse(ctx, 3.0, 1, ring), "m"),
+    (lambda ctx, ring: verify_davenport_hasse(ctx, 3, 1.5, ring),
+     "psi_index"),
+    (lambda ctx, ring: verify_davenport_hasse(ctx, True, 1, ring), "m"),
+])
+def test_davenport_hasse_checks_refuse_non_integers(f13, backend, call, name):
+    # davenport_hasse_products(ctx, 3.0) once ended in numpy's IndexError.
+    with pytest.raises(TypeError, match=f"^{name} must be an integer"):
+        call(f13, get_ring(f13, backend))
+
+
 def all_pairs_count(ctx, curve):
     """Double loop over (x, y), testing y^2 = f(x) by table arithmetic."""
     n = 0

@@ -7,6 +7,7 @@ routes are independent.
 
 import hashlib
 import math
+import time
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -768,3 +769,31 @@ def test_oversized_modulus_is_rejected():
     ctx = build_field(13, 2)
     with pytest.raises(ValueError):
         get_ring(ctx, "exact", d_max=16)
+
+
+@pytest.mark.parametrize("d_max", [2000, 10**6, 2**64, 10**5000],
+                         ids=["2000", "10**6", "2**64", "10**5000"])
+def test_oversized_modulus_is_refused_before_the_search(f13, d_max):
+    # d_max=2000 once searched for ell for 8.9 s before this ValueError,
+    # and d_max=10**6 did not finish.
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="too large for the exact backend"):
+        get_ring(f13, "exact", d_max=d_max)
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("kwargs,name", [
+    ({"d_max": 3.5}, "d_max"), ({"d_max": True}, "d_max"),
+    ({"d_max": 4.0}, "d_max"), ({"tolerance": True}, "tolerance"),
+    ({"tolerance": "1e-6"}, "tolerance"), ({"tolerance": None}, "tolerance"),
+    ({"tolerance": np.bool_(True)}, "tolerance"),
+])
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_get_ring_refuses_options_of_the_wrong_type(f13, backend, kwargs,
+                                                    name):
+    # tolerance=True and d_max=3.5 were once accepted, and tolerance="1e-6"
+    # ended in a comparison's TypeError.  The d_max=4 ring is cached first,
+    # so that 4.0 cannot be answered from the cache.
+    get_ring(f13, "exact", d_max=4)
+    with pytest.raises(TypeError, match=f"^{name} must be"):
+        get_ring(f13, backend, **kwargs)
