@@ -15,7 +15,9 @@ J(A, B), and the normalized binomial coefficient
 
 the building block of the hypergeometric series.  ``jacobi_sum`` always
 sums its defining series directly (it doubles as an independent check on
-Gauss-sum identities); Gauss sums are cached per value ring.
+Gauss-sum identities); Gauss sums are cached per value ring.  Each
+function takes its ring through :func:`~hypercount.values._resolve_ring`,
+the float ring of the field by default.
 """
 
 from __future__ import annotations

@@ -134,7 +134,8 @@ def series_values(ctx: FieldCtx, top_indices: tuple[int, ...],
     One :meth:`dft` of the coefficient vector, scaled by q/(q-1).  Cached
     read-only on the ring, keyed by the index lists; building it drops the
     coefficient vector from the ring.  A transform that raises caches
-    nothing.  A ring of another field raises :class:`MixedFieldContexts`.
+    nothing.  The ring comes from :func:`~hypercount.values._resolve_ring`,
+    which refuses a ring of another field with :class:`MixedFieldContexts`.
     """
     ring = _resolve_ring(ctx, ring, "float")
     key = _series_key(ctx, top_indices, bottom_indices)
@@ -155,8 +156,9 @@ def evaluate_hgf(spec: HgfSpec, ring=None) -> CharValue:
     The first ``_DIRECT_EVALS`` evaluations of a series on a ring at
     nonzero arguments take the defining O(q) twisted sum; the next builds
     the series' spectrum (:func:`series_values`), and from then on an
-    evaluation is one lookup.  A ring of another field raises
-    :class:`MixedFieldContexts`.
+    evaluation is one lookup.  The ring comes from
+    :func:`~hypercount.values._resolve_ring`, which refuses a ring of
+    another field with :class:`MixedFieldContexts`.
     """
     ctx = spec.ctx
     ring = _resolve_ring(ctx, ring, "float")

@@ -42,6 +42,12 @@ numpy arrays through the ring's vector helpers (``mul_vec``, ``sum_vec``,
 ``mismatches``, ``unit_gauss``, ``q_pow_unit``) to keep hot loops free
 of per-element wrappers.  Both
 rings implement every helper, so no kernel branches on the backend.
+
+Every function of the package with a ``ring=`` argument takes its ring
+through :func:`_resolve_ring`: the caller's ring, or the field's cached
+ring of the module's default backend (float for characters and series,
+exact for counts and the oracle), and :class:`MixedFieldContexts` for a
+ring of another field.
 """
 
 from __future__ import annotations
