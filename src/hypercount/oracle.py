@@ -39,7 +39,7 @@ import numpy as np
 
 from .curvecount import CurveParams, check_coeffs
 from .errors import CongruenceViolated
-from .ffield import FieldCtx, _as_int, dlog
+from .ffield import FieldCtx, _as_int, check_code, dlog
 from .values import CharValue, _resolve_ring
 
 #: Entries of an O(q²) table that a verifier builds at once: tables of q²
@@ -137,6 +137,7 @@ def theta_scaled_sum(ctx: FieldCtx, u: int, ring=None) -> CharValue:
     the point — decomposition checks must not assume the collapse.
     """
     ring = _resolve_ring(ctx, ring, "exact")
+    check_code(ctx, _as_int(u, "u"), "u")
     return ring.wrap(_zsum_rows(ctx, ring, np.array([u]))[0])
 
 

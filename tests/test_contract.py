@@ -54,6 +54,7 @@ from hypercount import (
     required_congruence,
     series_values,
     theta,
+    theta_scaled_sum,
     trace_map,
     verify_davenport_hasse,
 )
@@ -209,6 +210,8 @@ def test_field_function_contract(field, data, backend):
     trace = outcome(trace_map, ctx, alpha)
     assert isinstance(trace, Exception) != (is_int(alpha) and 0 <= alpha < q)
     outcome(theta, ctx, alpha, ring)
+    zsum = outcome(theta_scaled_sum, ctx, alpha, ring)
+    assert isinstance(zsum, Exception) != (is_int(alpha) and 0 <= alpha < q)
     in_field = all(is_int(c) and 0 <= c < q for c in (a, b))
     for disc in (cubic_discriminant_linear, cubic_discriminant_quadratic):
         value = outcome(disc, ctx, a, b)

@@ -46,6 +46,16 @@ def test_davenport_hasse_checks_refuse_non_integers(f13, backend, call, name):
         call(f13, get_ring(f13, backend))
 
 
+@pytest.mark.parametrize("u,error", [(2.0, TypeError), (True, TypeError),
+                                     (13, ValueError), (-1, ValueError)])
+def test_theta_scaled_sum_refuses_what_is_not_a_code(f13, backend, u, error):
+    # theta_scaled_sum(ctx, 2.0) and (ctx, 13) once ended in numpy's
+    # IndexError, and (ctx, -1) returned a value.
+    with pytest.raises(error, match="^u[ =]"):
+        theta_scaled_sum(f13, u, get_ring(f13, backend))
+    assert theta_scaled_sum(f13, np.int64(2)) == theta_scaled_sum(f13, 2)
+
+
 def all_pairs_count(ctx, curve):
     """Double loop over (x, y), testing y^2 = f(x) by table arithmetic."""
     n = 0
