@@ -334,8 +334,8 @@ def _verify_field(ctx: FieldCtx, ring, seed: int) -> dict:
             rep = decompose_theta_sum(ctx, curve, ring)
             n_direct = brute_count(ctx, curve)
             # q·N = q² + q·phi(b) + quad_component, as the paper's count,
-            # checked after dividing by q: at scale q² a float check could
-            # not see an error below tolerance·q².
+            # compared after dividing by q: at scale 1 the float check
+            # sees a quad_component off by one at every q verify admits.
             quad_n = (rep.quad_component
                       + q * (q + quadratic_sign(ctx, b))).divide_by_q()
             quad_ok = quad_n.isclose(n_direct)
